@@ -12,30 +12,49 @@ namespace tiamat::tuples {
 
 namespace {
 
-/// Inserts `id` keeping `v` sorted ascending. Ids are allocated
-/// monotonically, so the common case is a pure push_back; out-of-order
-/// inserts (tentative releases putting an old id back) binary-search.
-void sorted_insert(std::vector<TupleId>& v, TupleId id) {
-  if (v.empty() || v.back() < id) {
-    v.push_back(id);
-    return;
-  }
-  v.insert(std::lower_bound(v.begin(), v.end(), id), id);
+// Shard id lists hold plain ids, buckets hold pointers to by_id_ entries;
+// both stay sorted by id, and the helpers below serve either.
+TupleId id_of(TupleId id) { return id; }
+TupleId id_of(const std::pair<const TupleId, Tuple>* e) { return e->first; }
+
+template <typename Slots>
+auto find_slot(Slots& v, TupleId id) {
+  return std::lower_bound(
+      v.begin(), v.end(), id,
+      [](const auto& s, TupleId key) { return id_of(s) < key; });
 }
 
-void sorted_erase(std::vector<TupleId>& v, TupleId id) {
-  auto it = std::lower_bound(v.begin(), v.end(), id);
-  if (it != v.end() && *it == id) v.erase(it);
+/// Inserts `s` keeping `v` sorted by id. Ids are allocated monotonically,
+/// so the common case is a pure push_back; out-of-order inserts
+/// (tentative releases putting an old id back) binary-search.
+template <typename Slot>
+void sorted_insert(std::vector<Slot>& v, Slot s) {
+  if (v.empty() || id_of(v.back()) < id_of(s)) {
+    v.push_back(s);
+    return;
+  }
+  v.insert(find_slot(v, id_of(s)), s);
+}
+
+template <typename Slot>
+void sorted_erase(std::vector<Slot>& v, TupleId id) {
+  auto it = find_slot(v, id);
+  if (it != v.end() && id_of(*it) == id) v.erase(it);
 }
 
 #if TIAMAT_AUDIT_ENABLED
-bool sorted_contains(const std::vector<TupleId>& v, TupleId id) {
-  return std::binary_search(v.begin(), v.end(), id);
+template <typename Slot>
+bool sorted_contains(const std::vector<Slot>& v, TupleId id) {
+  auto it = find_slot(v, id);
+  return it != v.end() && id_of(*it) == id;
 }
 
-bool strictly_ascending(const std::vector<TupleId>& v) {
+template <typename Slot>
+bool strictly_ascending(const std::vector<Slot>& v) {
   return std::adjacent_find(v.begin(), v.end(),
-                            std::greater_equal<TupleId>()) == v.end();
+                            [](const Slot& a, const Slot& b) {
+                              return id_of(a) >= id_of(b);
+                            }) == v.end();
 }
 #endif
 
@@ -43,24 +62,25 @@ bool strictly_ascending(const std::vector<TupleId>& v) {
 
 void TupleIndex::insert(TupleId id, Tuple t) {
   footprint_ += t.footprint();
-  Shard& shard = shards_[t.arity()];
+  const Entry& e = *by_id_.emplace(id, std::move(t)).first;
+  const Tuple& stored = e.second;
+  Shard& shard = shards_[stored.arity()];
   sorted_insert(shard.ids, id);
-  if (t.arity() > 0) sorted_insert(shard.buckets[t[0]], id);
-  by_id_.emplace(id, std::move(t));
+  if (stored.arity() > 0) sorted_insert(shard.buckets[stored[0]], &e);
 }
 
 std::optional<Tuple> TupleIndex::erase(TupleId id) {
   auto it = by_id_.find(id);
   if (it == by_id_.end()) return std::nullopt;
-  Tuple t = std::move(it->second);
-  by_id_.erase(it);
-  footprint_ -= t.footprint();
-  auto sit = shards_.find(t.arity());
+  const Tuple& stored = it->second;
+  // Unlink before destroying the node: the bucket search reads ids through
+  // the slots, this entry's own slot included.
+  auto sit = shards_.find(stored.arity());
   if (sit != shards_.end()) {
     Shard& shard = sit->second;
     sorted_erase(shard.ids, id);
-    if (t.arity() > 0) {
-      auto bit = shard.buckets.find(t[0]);
+    if (stored.arity() > 0) {
+      auto bit = shard.buckets.find(stored[0]);
       if (bit != shard.buckets.end()) {
         sorted_erase(bit->second, id);
         if (bit->second.empty()) shard.buckets.erase(bit);
@@ -68,6 +88,9 @@ std::optional<Tuple> TupleIndex::erase(TupleId id) {
     }
     if (shard.ids.empty()) shards_.erase(sit);
   }
+  footprint_ -= stored.footprint();
+  Tuple t = std::move(it->second);
+  by_id_.erase(it);
   return t;
 }
 
@@ -144,9 +167,16 @@ void TupleIndex::audit_check(const char* checkpoint) const {
     audit::fail("TupleIndex", checkpoint, invariant, os.str());
   };
 
-  // Ordering first: the membership checks below binary-search the id
-  // vectors, so an unsorted list must trap as itself rather than as a
-  // bogus membership miss.
+  // Bucket slots are compared against the addresses of live by_id_ entries
+  // before anything reads through them.
+  std::vector<const Entry*> live;
+  live.reserve(by_id_.size());
+  for (const Entry& e : by_id_) live.push_back(&e);
+  std::sort(live.begin(), live.end(), std::less<const Entry*>());
+
+  // Slots and ordering first: the membership checks below binary-search
+  // the id vectors, so a bad slot or an unsorted list must trap as itself
+  // rather than as a bogus membership miss.
   for (const auto& [arity, shard] : shards_) {
     if (shard.ids.empty()) {
       std::ostringstream os;
@@ -160,13 +190,31 @@ void TupleIndex::audit_check(const char* checkpoint) const {
       trap("id-order", os.str());
       return;
     }
-    for (const auto& [key, ids] : shard.buckets) {
-      if (ids.empty()) {
+    for (const auto& [key, slots] : shard.buckets) {
+      if (slots.empty()) {
         trap("bucket-pruning",
              "empty bucket key=" + key.to_string() + " not pruned");
         return;
       }
-      if (!strictly_ascending(ids)) {
+      for (const Entry* e : slots) {
+        if (!std::binary_search(live.begin(), live.end(), e,
+                                std::less<const Entry*>())) {
+          trap("bucket-slot", "bucket key=" + key.to_string() +
+                                  " holds a slot that points at no stored "
+                                  "entry");
+          return;
+        }
+        const Tuple& t = e->second;
+        if (t.arity() == 0 || t.arity() != arity || !(t[0] == key)) {
+          std::ostringstream os;
+          os << "arity " << arity << " bucket key=" << key.to_string()
+             << " points at " << describe(e->first, t)
+             << " whose arity or first field differs";
+          trap("bucket-slot", os.str());
+          return;
+        }
+      }
+      if (!strictly_ascending(slots)) {
         trap("id-order", "bucket key=" + key.to_string() +
                              " id list not strictly ascending");
         return;
@@ -213,9 +261,10 @@ void TupleIndex::audit_check(const char* checkpoint) const {
     return;
   }
 
-  // Reverse direction: every shard/bucket id is a live tuple in the right
-  // place and the membership counts balance — together with the forward
-  // pass this proves "exactly one bucket" (no duplicates, no strays).
+  // Reverse direction: every shard id is a live tuple in the right place
+  // (bucket slots were checked above) and the membership counts balance —
+  // together with the forward pass this proves "exactly one bucket" (no
+  // duplicates, no strays).
   std::size_t shard_ids_total = 0;
   std::size_t bucket_ids_total = 0;
   std::size_t keyed_tuples = 0;
@@ -235,19 +284,8 @@ void TupleIndex::audit_check(const char* checkpoint) const {
         return;
       }
     }
-    for (const auto& [key, ids] : shard.buckets) {
-      bucket_ids_total += ids.size();
-      for (TupleId id : ids) {
-        const Tuple* t = get(id);
-        if (t == nullptr || t->arity() == 0 || !((*t)[0] == key)) {
-          std::ostringstream os;
-          os << "bucket key=" << key.to_string() << " lists id " << id
-             << (t == nullptr ? " which is not stored"
-                              : " whose first field differs");
-          trap("bucket-membership", os.str());
-          return;
-        }
-      }
+    for (const auto& [key, slots] : shard.buckets) {
+      bucket_ids_total += slots.size();
     }
   }
   if (shard_ids_total != by_id_.size()) {
@@ -265,13 +303,20 @@ void TupleIndex::audit_check(const char* checkpoint) const {
   }
 }
 
-void TupleIndex::audit_corrupt_bucket_for_test(TupleId id) {
+void TupleIndex::audit_corrupt_bucket_for_test(TupleId id, TupleId retarget) {
   const Tuple* t = get(id);
   if (t == nullptr || t->arity() == 0) return;
   auto sit = shards_.find(t->arity());
   if (sit == shards_.end()) return;
   auto bit = sit->second.buckets.find((*t)[0]);
-  if (bit != sit->second.buckets.end()) sorted_erase(bit->second, id);
+  if (bit == sit->second.buckets.end()) return;
+  auto target = by_id_.find(retarget);
+  if (target == by_id_.end()) {
+    sorted_erase(bit->second, id);
+    return;
+  }
+  auto slot = find_slot(bit->second, id);
+  if (slot != bit->second.end() && (*slot)->first == id) *slot = &*target;
 }
 
 void TupleIndex::audit_differential(const CompiledPattern& p,

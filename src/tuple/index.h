@@ -5,6 +5,14 @@
 // a keyed pattern probes one hash bucket instead of scanning the space.
 // Unkeyed patterns fall back to walking the per-arity id list.
 //
+// A bucket slot points at its tuple's by_id_ entry (std::map nodes keep
+// their address until erased), so a keyed probe reads each candidate's id
+// and tuple with one load rather than an O(log n) tree walk per candidate.
+// The shard-wide id list keeps plain ids: every erase binary-searches it
+// across the whole arity, and pointer slots there would add a random node
+// read per search step. Because slots point into by_id_, the index is
+// move-only (map moves keep node addresses; a copy would not).
+//
 // Determinism contract (select_match and the seed tests depend on it):
 // every lookup visits candidates in ascending id order — keyed probes walk
 // a sorted-vector bucket, unkeyed scans walk the arity shard's sorted id
@@ -33,6 +41,12 @@ inline constexpr TupleId kNoTuple = 0;
 
 class TupleIndex {
  public:
+  TupleIndex() = default;
+  TupleIndex(const TupleIndex&) = delete;
+  TupleIndex& operator=(const TupleIndex&) = delete;
+  TupleIndex(TupleIndex&&) = default;
+  TupleIndex& operator=(TupleIndex&&) = default;
+
   /// Stores `t` under caller-supplied id (ids must be unique and non-zero).
   void insert(TupleId id, Tuple t);
 
@@ -102,8 +116,9 @@ class TupleIndex {
 
   /// Test hook: removes `id` from its shard bucket while leaving it in
   /// by_id_ and the shard id list, manufacturing a bucket-membership
-  /// violation for the corruption-trap tests.
-  void audit_corrupt_bucket_for_test(TupleId id);
+  /// violation for the corruption-trap tests. Given a stored `retarget`,
+  /// points id's bucket slot at retarget's entry instead of removing it.
+  void audit_corrupt_bucket_for_test(TupleId id, TupleId retarget = kNoTuple);
 
  private:
   /// Differential oracle: re-runs a keyed find_matches as a linear scan of
@@ -116,13 +131,15 @@ class TupleIndex {
 #endif
 
  private:
+  using Entry = std::map<TupleId, Tuple>::value_type;
+
   // One shard per arity: hash buckets by first field for keyed probes, plus
   // the shard-wide ascending id list for deterministic unkeyed scans.
-  // Bucket id vectors are kept sorted; ids arrive mostly in increasing
-  // order (spaces allocate them monotonically) so inserts are usually an
-  // amortized-O(1) push_back.
+  // Bucket slots (pointers to by_id_ entries) are kept sorted by id; ids
+  // arrive mostly in increasing order (spaces allocate them monotonically)
+  // so inserts are usually an amortized-O(1) push_back.
   struct Shard {
-    std::unordered_map<Value, std::vector<TupleId>, ValueHash> buckets;
+    std::unordered_map<Value, std::vector<const Entry*>, ValueHash> buckets;
     std::vector<TupleId> ids;
   };
 
@@ -153,15 +170,14 @@ void TupleIndex::lookup(const CompiledPattern& p, Fn&& fn) const {
     metrics_.on_probe();
     auto bit = shard.buckets.find(p.key());
     if (bit != shard.buckets.end()) {
-      for (TupleId id : bit->second) {
+      for (const Entry* e : bit->second) {
         ++examined;
-        const Tuple& t = by_id_.find(id)->second;
         // Bucket membership already proves arity and first-field equality.
-        if (!p.matches_rest(t)) {
+        if (!p.matches_rest(e->second)) {
           ++rejected;
           continue;
         }
-        if (!fn(id, t)) break;
+        if (!fn(e->first, e->second)) break;
       }
     }
     stats_.candidates += examined;

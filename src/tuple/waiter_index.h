@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -85,7 +86,7 @@ class WaiterIndex {
   std::vector<std::uint64_t> candidates(const Tuple& t) const {
     std::uint64_t examined = 0;
     std::uint64_t skipped = 0;
-    std::vector<std::uint64_t> keyed;
+    std::span<const std::uint64_t> keyed;
     if (t.arity() > 0) {
       auto ait = buckets_.find(t.arity());
       if (ait != buckets_.end()) {

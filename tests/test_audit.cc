@@ -77,6 +77,23 @@ TEST(AuditTrap, CorruptedBucketTrapsWithDiagnostic) {
   EXPECT_NE(rec.last().find("tuple id 2"), std::string::npos);
 }
 
+TEST(AuditTrap, RetargetedBucketSlotTrapsWithDiagnostic) {
+  TupleIndex idx;
+  idx.insert(1, Tuple{"req", 1});
+  idx.insert(2, Tuple{"req", 2});
+  idx.insert(3, Tuple{"resp", 1});
+  // Point id 2's "req" slot at id 3's live entry: the bucket stays sorted
+  // and every slot is a stored tuple, but a keyed "req" probe would now
+  // hand back a "resp" tuple.
+  idx.audit_corrupt_bucket_for_test(2, 3);
+
+  TrapRecorder rec;
+  idx.audit_check("test");
+  ASSERT_TRUE(rec.trapped());
+  EXPECT_NE(rec.last().find("bucket-slot"), std::string::npos);
+  EXPECT_NE(rec.last().find("tuple id 3"), std::string::npos);
+}
+
 TEST(AuditTrap, CorruptedWaiterFifoTrapsWithDiagnostic) {
   WaiterIndex<int> waiters;
   // Two unkeyed waiters land in the overflow; swapping their ids breaks

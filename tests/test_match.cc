@@ -123,7 +123,9 @@ TEST(MatchEngine, DifferentialAgainstLinearScan) {
   sim::Rng rng(20260806);
   TupleIndex idx;
   std::map<TupleId, Tuple> shadow;  // ascending-id linear-scan oracle
+  std::vector<TupleId> erased_ids;
   TupleId next_id = 1;
+  int reinserts = 0;
 
   for (int step = 0; step < 3000; ++step) {
     // Mutate: mostly inserts, some erases, so sizes drift up and down.
@@ -139,7 +141,20 @@ TEST(MatchEngine, DifferentialAgainstLinearScan) {
       auto erased = idx.erase(it->first);
       ASSERT_TRUE(erased.has_value());
       EXPECT_EQ(*erased, it->second);
+      erased_ids.push_back(it->first);
       shadow.erase(it);
+    } else if (roll == 8 && !erased_ids.empty()) {
+      // Re-insert an erased id with a new tuple, as a released tentative
+      // take puts its old id back: it lands behind newer ids, so the index
+      // must place it out of arrival order.
+      auto it = erased_ids.begin() +
+                static_cast<long>(rng.index(erased_ids.size()));
+      const TupleId id = *it;
+      erased_ids.erase(it);
+      Tuple t = random_tuple(rng);
+      idx.insert(id, t);
+      shadow.emplace(id, std::move(t));
+      ++reinserts;
     }
 
     // Probe with a random pattern, sometimes aimed at a stored tuple.
@@ -172,9 +187,10 @@ TEST(MatchEngine, DifferentialAgainstLinearScan) {
       EXPECT_EQ(cp.matches(*target), p.matches(*target));
     }
   }
-  // The workload must have exercised both lookup paths.
+  // The workload must have exercised both lookup paths and re-insertion.
   EXPECT_GT(idx.match_stats().bucket_probes, 0u);
   EXPECT_GT(idx.match_stats().scan_fallbacks, 0u);
+  EXPECT_GT(reinserts, 0);
 }
 
 TEST(MatchEngine, FindMatchesHonoursLimit) {
