@@ -152,6 +152,14 @@ struct FieldCase {
   bool expect;
 };
 
+// gtest_discover_tests names each case after its printed parameter. Without
+// this, gtest prints the case's raw bytes (padding and heap addresses
+// included), so the test names changed with every build.
+void PrintTo(const FieldCase& c, std::ostream* os) {
+  *os << c.field.to_string() << (c.expect ? " matches " : " rejects ")
+      << c.value.to_string();
+}
+
 class FieldMatch : public ::testing::TestWithParam<FieldCase> {};
 
 TEST_P(FieldMatch, Matches) {
