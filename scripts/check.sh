@@ -67,10 +67,10 @@ fi
 # perf diff.
 echo "== bench_match: smoke =="
 smoke_json=$(mktemp /tmp/BENCH_match_smoke.XXXXXX.json)
-flood_json=$(mktemp /tmp/BENCH_flooding_fresh.XXXXXX.json)
+gate_dir=$(mktemp -d /tmp/BENCH_gates.XXXXXX)
 series_a=$(mktemp /tmp/SERIES_churn_a.XXXXXX.json)
 series_b=$(mktemp /tmp/SERIES_churn_b.XXXXXX.json)
-trap 'rm -f "${smoke_json}" "${flood_json}" "${series_a}" "${series_b}"' EXIT
+trap 'rm -rf "${smoke_json}" "${gate_dir}" "${series_a}" "${series_b}"' EXIT
 build/bench/bench_match --benchmark_min_time=0.01 \
   --benchmark_filter='BM_(KeyedFindFirst|UnkeyedFindFirst|WaiterOffer)' \
   --json="${smoke_json}" >/dev/null
@@ -84,14 +84,19 @@ grep -q '"engine.bucket_probes"' "${smoke_json}" || {
 python3 scripts/bench_compare.py BENCH_match.json "${smoke_json}" \
   --soft 'counter:*' --gauge-tol 10 --quiet
 
-# Perf-regression gate: bench_flooding runs entirely in virtual time with
-# fixed seeds (Iterations(1)), so every exported counter and histogram
-# bucket is deterministic — any drift against the committed baseline is a
-# protocol behaviour change and hard-fails. Wall-clock noise never enters
-# the comparison (timing lives in google-benchmark output, not the export).
-echo "== bench_flooding: perf-regression gate =="
-build/bench/bench_flooding --json="${flood_json}" >/dev/null
-python3 scripts/bench_compare.py BENCH_flooding.json "${flood_json}"
+# Perf-regression gates: bench_flooding, bench_discovery (probe windows) and
+# bench_churn (leases under churn) run entirely in virtual time with fixed
+# seeds (Iterations(1)), so every exported counter and histogram bucket is
+# deterministic — any drift against the committed baseline is a protocol
+# behaviour change (or a change of simulated event order) and hard-fails.
+# Wall-clock noise never enters the comparison (timing lives in
+# google-benchmark output, not the export).
+for bench in flooding discovery churn; do
+  echo "== bench_${bench}: perf-regression gate =="
+  build/bench/bench_${bench} --json="${gate_dir}/BENCH_${bench}.json" >/dev/null
+  python3 scripts/bench_compare.py "BENCH_${bench}.json" \
+    "${gate_dir}/BENCH_${bench}.json"
+done
 
 # Telemetry determinism smoke: the same seeded churn config run twice with
 # --series must emit byte-identical time-series documents (the recorder is

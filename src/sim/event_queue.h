@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/clock.h"
@@ -33,8 +31,17 @@ inline constexpr EventId kInvalidEvent = 0;
 /// The queue IS the simulator's transport::TimerService: protocol code that
 /// schedules through the transport clock abstraction runs unchanged on
 /// virtual time, and existing call sites can pass an EventQueue wherever a
-/// TimerService is expected.
-class EventQueue : public transport::TimerService {
+/// TimerService is expected (`schedule_after` is inherited from it).
+///
+/// Callbacks live in a slab of slots; a 4-ary min-heap orders plain
+/// (when, seq, slot) keys over it, and each live slot records where its key
+/// sits in the heap. `cancel` therefore takes the event out of the heap in
+/// O(log n) and destroys its callback (and whatever the closure captured)
+/// before it returns: a cancelled timer leaves no tombstone. An EventId is
+/// a generation-tagged handle to a slot, not a schedule counter — once its
+/// event fires or is cancelled the slot may be reused, and the old id is
+/// rejected rather than taken for the new event.
+class EventQueue final : public transport::TimerService {
  public:
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -47,14 +54,9 @@ class EventQueue : public transport::TimerService {
   /// handle usable with `cancel`. Scheduling in the past clamps to `now`.
   EventId schedule_at(Time when, std::function<void()> fn) override;
 
-  /// Schedules `fn` to run `delay` from now.
-  EventId schedule_after(Duration delay, std::function<void()> fn) {
-    return schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
-  }
-
-  /// Cancels a pending event. Returns false if it already fired, was already
-  /// cancelled, or never existed. Cancellation is O(1); the tombstone is
-  /// discarded when the event surfaces.
+  /// Cancels a pending event: removes it from the queue and destroys its
+  /// callback. Returns false if it already fired, was already cancelled, or
+  /// never existed.
   bool cancel(EventId id) override;
 
   /// Runs events until the queue is empty. Returns the number fired.
@@ -68,37 +70,44 @@ class EventQueue : public transport::TimerService {
   std::size_t run_for(Duration d) { return run_until(now_ + d); }
 
   /// Fires the single earliest pending event, if any. Returns whether an
-  /// event fired. Cancelled tombstones are skipped transparently.
+  /// event fired.
   bool step();
 
-  /// Number of live (non-cancelled) pending events.
-  std::size_t pending() const { return live_; }
+  /// Number of pending (scheduled, not yet fired or cancelled) events.
+  std::size_t pending() const { return heap_.size(); }
 
-  bool idle() const { return live_ == 0; }
+  bool idle() const { return heap_.empty(); }
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kFree = UINT32_MAX;
+
+  struct Key {
     Time when;
-    EventId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;  // ids are monotone, so earlier-scheduled wins
+    std::uint64_t seq;  // schedule order: earlier-scheduled wins a tie
+    std::uint32_t slot;
+    bool before(const Key& o) const {
+      return when != o.when ? when < o.when : seq < o.seq;
     }
   };
+  struct Slot {
+    std::function<void()> fn;
+    std::uint32_t pos = kFree;  // index of this slot's key in heap_
+    std::uint32_t gen = 0;      // bumped on release; tags the slot's ids
+  };
 
-  bool pop_one(Entry& out);
+  // Heap upkeep: every move of a key also updates its slot's `pos`.
+  void place(std::size_t pos, const Key& key);
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  void erase_at(std::size_t pos);
+  // Frees `slot` for reuse, staling its ids, and hands back its callback.
+  std::function<void()> release(std::uint32_t slot);
 
   Time now_ = 0;
-  EventId next_id_ = 1;
-  std::size_t live_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  // Ids of scheduled-but-not-yet-fired events; an id absent from this set is
-  // either fired or cancelled. Entries for cancelled ids are discarded when
-  // they surface from the heap.
-  std::unordered_set<EventId> pending_ids_;
+  std::uint64_t next_seq_ = 0;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace tiamat::sim

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -132,6 +139,215 @@ TEST(EventQueue, StepFiresExactlyOne) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(q.step());
   EXPECT_FALSE(q.step());
+}
+
+TEST(EventQueue, CancelReleasesCallbackAtOnce) {
+  EventQueue q;
+  auto held = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = held;
+  EventId id = q.schedule_at(30 * kSecond, [held] { ++*held; });
+  held.reset();
+  ASSERT_FALSE(watch.expired());
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_TRUE(watch.expired());  // not parked in the queue until 30 s
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, StaleIdNeverCancelsAReusedSlot) {
+  for (bool fire_first : {false, true}) {
+    SCOPED_TRACE(fire_first ? "fired" : "cancelled");
+    EventQueue q;
+    EventId old = q.schedule_at(10, [] {});
+    if (fire_first) {
+      ASSERT_TRUE(q.step());
+    } else {
+      ASSERT_TRUE(q.cancel(old));
+    }
+    bool fired = false;
+    EventId fresh = q.schedule_at(20, [&] { fired = true; });
+    EXPECT_NE(fresh, old);
+    EXPECT_FALSE(q.cancel(old));
+    EXPECT_EQ(q.pending(), 1u);
+    q.run_until_idle();
+    EXPECT_TRUE(fired);
+  }
+}
+
+// Drives an EventQueue and a reference model through the same operations.
+// The model states the queue's contract directly: a std::map keyed by
+// (when, schedule order). Each event records its tag when it fires and may
+// then cancel an event (possibly itself) and schedule a follow-up; both
+// sides apply the same scripted behaviour, so their logs must agree.
+class QueueDifferential {
+ public:
+  struct Behaviour {
+    int cancel_tag = -1;  // event to cancel when this one fires
+    int child_tag = -1;   // event to schedule when this one fires ...
+    Duration child_delay = 0;  // ... this far from then
+  };
+
+  EventQueue queue;
+
+  int add_tag() {
+    behaviours_.emplace_back();
+    ids_.push_back(kInvalidEvent);
+    model_keys_.emplace_back();
+    return static_cast<int>(behaviours_.size()) - 1;
+  }
+  Behaviour& behaviour(int tag) { return behaviours_[tag]; }
+  std::size_t tags() const { return behaviours_.size(); }
+  EventId id(int tag) const { return ids_[tag]; }
+  bool issued(EventId id) const { return issued_.contains(id); }
+  bool ids_unique() const { return ids_unique_; }
+
+  void schedule(int tag, Time when) {
+    real_schedule(tag, when);
+    model_schedule(tag, when);
+  }
+
+  bool model_cancel(int tag) {
+    return model_keys_[tag] && model_live_.erase(*model_keys_[tag]) == 1;
+  }
+  bool model_step() {
+    if (model_live_.empty()) return false;
+    const auto [key, tag] = *model_live_.begin();
+    model_live_.erase(model_live_.begin());
+    model_now_ = key.first;
+    model_log_.push_back(tag);
+    const Behaviour b = behaviours_[tag];
+    if (b.cancel_tag >= 0) {
+      model_log_.push_back(model_cancel(b.cancel_tag) ? kCancelled : kMissed);
+    }
+    if (b.child_tag >= 0) {
+      model_schedule(b.child_tag, model_now_ + b.child_delay);
+    }
+    return true;
+  }
+  std::size_t model_run_until(Time deadline) {
+    std::size_t fired = 0;
+    while (!model_live_.empty() &&
+           model_live_.begin()->first.first <= deadline) {
+      model_step();
+      ++fired;
+    }
+    model_now_ = std::max(model_now_, deadline);
+    return fired;
+  }
+  std::size_t model_run_until_idle() {
+    std::size_t fired = 0;
+    while (model_step()) ++fired;
+    return fired;
+  }
+  Time model_now() const { return model_now_; }
+  std::size_t model_pending() const { return model_live_.size(); }
+
+  bool logs_match() const { return real_log_ == model_log_; }
+  std::size_t fired_and_cancels() const { return real_log_.size(); }
+
+ private:
+  // Log entries below zero record the result of a cancel made by a callback.
+  static constexpr int kCancelled = -1;
+  static constexpr int kMissed = -2;
+  using Key = std::pair<Time, std::uint64_t>;
+
+  void real_schedule(int tag, Time when) {
+    const EventId id = queue.schedule_at(when, [this, tag] { real_fire(tag); });
+    ids_unique_ =
+        ids_unique_ && id != kInvalidEvent && issued_.insert(id).second;
+    ids_[tag] = id;
+  }
+  void real_fire(int tag) {
+    real_log_.push_back(tag);
+    const Behaviour b = behaviours_[tag];
+    if (b.cancel_tag >= 0) {
+      real_log_.push_back(queue.cancel(ids_[b.cancel_tag]) ? kCancelled
+                                                           : kMissed);
+    }
+    if (b.child_tag >= 0) {
+      real_schedule(b.child_tag, queue.now() + b.child_delay);
+    }
+  }
+  void model_schedule(int tag, Time when) {
+    const Key key{std::max(when, model_now_), model_seq_++};
+    model_live_.emplace(key, tag);
+    model_keys_[tag] = key;
+  }
+
+  std::vector<Behaviour> behaviours_;
+  std::vector<EventId> ids_;  // per tag; kInvalidEvent until scheduled
+  std::set<EventId> issued_;
+  bool ids_unique_ = true;
+  std::vector<int> real_log_;
+
+  Time model_now_ = 0;
+  std::uint64_t model_seq_ = 0;
+  std::map<Key, int> model_live_;
+  std::vector<std::optional<Key>> model_keys_;  // per tag, once scheduled
+  std::vector<int> model_log_;
+};
+
+TEST(EventQueue, MatchesReferenceModelUnderRandomOperations) {
+  QueueDifferential d;
+  Rng rng(20030519);
+  std::size_t max_pending = 0;
+  for (int op = 0; op < 10000; ++op) {
+    SCOPED_TRACE(op);
+    const Time now = d.queue.now();
+    const std::int64_t dice = rng.uniform(0, 999);
+    if (dice < 450) {
+      const int tag = d.add_tag();
+      switch (rng.uniform(0, 9)) {
+        case 0:
+          d.behaviour(tag).cancel_tag = tag;  // its own id, stale by then
+          break;
+        case 1:
+          d.behaviour(tag).cancel_tag = static_cast<int>(rng.index(d.tags()));
+          break;
+        case 2: {
+          const int child = d.add_tag();
+          d.behaviour(tag).child_tag = child;
+          d.behaviour(tag).child_delay = rng.uniform(0, 300);
+          break;
+        }
+        default:
+          break;
+      }
+      const std::int64_t when_kind = rng.uniform(0, 19);
+      const Time when = when_kind < 3   ? now - rng.uniform(1, 100)
+                        : when_kind < 6 ? now
+                                        : now + rng.uniform(1, 10000);
+      d.schedule(tag, when);
+    } else if (dice < 600) {
+      if (d.tags() > 0) {  // live, fired, cancelled or not yet scheduled
+        const int tag = static_cast<int>(rng.index(d.tags()));
+        ASSERT_EQ(d.queue.cancel(d.id(tag)), d.model_cancel(tag));
+      }
+    } else if (dice < 620) {
+      EventId bogus = kInvalidEvent;
+      while (bogus == kInvalidEvent || d.issued(bogus)) {
+        bogus = static_cast<EventId>(rng.engine()());
+      }
+      ASSERT_FALSE(d.queue.cancel(bogus));
+    } else if (dice < 635) {
+      ASSERT_FALSE(d.queue.cancel(kInvalidEvent));
+    } else if (dice < 800) {
+      ASSERT_EQ(d.queue.step(), d.model_step());
+    } else if (dice < 998) {
+      const Time deadline = now + rng.uniform(-50, 100);
+      ASSERT_EQ(d.queue.run_until(deadline), d.model_run_until(deadline));
+    } else {
+      ASSERT_EQ(d.queue.run_until_idle(), d.model_run_until_idle());
+    }
+    ASSERT_TRUE(d.logs_match());
+    ASSERT_EQ(d.queue.now(), d.model_now());
+    ASSERT_EQ(d.queue.pending(), d.model_pending());
+    ASSERT_TRUE(d.ids_unique());
+    max_pending = std::max(max_pending, d.queue.pending());
+  }
+  // The run must have built a heap more than four levels deep (1 + 4 + 16 +
+  // 64 keys fill four) and a long history.
+  EXPECT_GT(max_pending, 100u);
+  EXPECT_GT(d.fired_and_cancels(), 3000u);
 }
 
 // ---------------- Rng ----------------
