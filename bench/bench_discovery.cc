@@ -11,8 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "obs/quantile.h"
 #include "sim/mobility.h"
-#include "sim/stats.h"
 
 namespace {
 
@@ -58,7 +58,7 @@ Result run_scenario(std::size_t peers, bool cached, double churn_rate,
   w.queue.run_for(sim::milliseconds(50));
 
   const int kOps = 300;
-  sim::Summary latency;
+  obs::QuantileSketch latency;
   std::uint64_t hits = 0;
   std::uint64_t probes_before = origin.discovery().stats().probes_sent;
   std::uint64_t unicasts_before = w.net.stats().unicasts_sent;
@@ -72,7 +72,7 @@ Result run_scenario(std::size_t peers, bool cached, double churn_rate,
     const sim::Time t0 = w.net.now();
     origin.rdp(Pattern{"data", any_int()}, [&, t0](auto r) {
       const auto us = static_cast<double>(w.net.now() - t0);
-      latency.add(us);
+      latency.observe(us);
       bench::observe_latency(scenario, us);
       if (r) ++hits;
       w.queue.schedule_after(sim::milliseconds(5), next);

@@ -11,7 +11,7 @@
 
 #include "baselines/peers.h"
 #include "bench/bench_util.h"
-#include "sim/stats.h"
+#include "obs/quantile.h"
 
 namespace {
 
@@ -39,7 +39,7 @@ Result run_peers(std::size_t n, int ttl, std::uint64_t seed,
     nodes[1 + w.rng.index(n - 1)]->out(Tuple{"item", k});
   }
   const int kLookups = 50;
-  sim::Summary latency;
+  obs::QuantileSketch latency;
   std::uint64_t hits = 0;
   const std::uint64_t msgs_before = w.net.stats().unicasts_sent;
   int issued = 0;
@@ -50,7 +50,7 @@ Result run_peers(std::size_t n, int ttl, std::uint64_t seed,
     nodes[0]->lookup(Pattern{"item", key}, ttl, sim::seconds(2),
                      [&, t0](auto r) {
                        const auto us = static_cast<double>(w.net.now() - t0);
-                       latency.add(us);
+                       latency.observe(us);
                        bench::observe_latency(scenario, us);
                        if (r) ++hits;
                        w.queue.schedule_after(sim::milliseconds(5), next);
@@ -82,7 +82,7 @@ Result run_tiamat(std::size_t n, std::uint64_t seed,
     nodes[1 + w.rng.index(n - 1)]->out(Tuple{"item", k});
   }
   const int kLookups = 50;
-  sim::Summary latency;
+  obs::QuantileSketch latency;
   std::uint64_t hits = 0;
   const std::uint64_t msgs_before =
       w.net.stats().unicasts_sent + w.net.stats().multicasts_sent;
@@ -93,7 +93,7 @@ Result run_tiamat(std::size_t n, std::uint64_t seed,
     const sim::Time t0 = w.net.now();
     nodes[0]->rdp(Pattern{"item", key}, [&, t0](auto r) {
       const auto us = static_cast<double>(w.net.now() - t0);
-      latency.add(us);
+      latency.observe(us);
       bench::observe_latency(scenario, us);
       if (r) ++hits;
       w.queue.schedule_after(sim::milliseconds(5), next);

@@ -12,7 +12,6 @@
 
 #include "apps/web.h"
 #include "bench/bench_util.h"
-#include "sim/stats.h"
 
 namespace {
 
@@ -75,8 +74,8 @@ Result run_throughput(int proxies, int clients, std::uint64_t seed) {
   // Aggregate mean latency across clients.
   double total = 0, n = 0;
   for (auto& c : client_objs) {
-    // Summary::mean is per client; weight by completion count.
-    auto& s = const_cast<apps::web::WebClient::Stats&>(c->stats());
+    // The mean is per client; weight by completion count.
+    const apps::web::WebClient::Stats& s = c->stats();
     total += s.latency.mean() * s.latency.count();
     n += static_cast<double>(s.latency.count());
   }

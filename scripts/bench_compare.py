@@ -5,7 +5,7 @@ The bench exporters snapshot the obs metrics registry, which iterates
 deterministically — so for a fixed-seed, virtual-time bench the *counter*
 section of the export is exactly reproducible, and any drift there is a
 behavioural change (more messages, more lease churn, a different fan-out),
-not noise. Timing-flavoured fields (histogram sum/mean/percentiles) and
+not noise. Timing-flavoured fields (sketch sum/mean/quantiles/max) and
 calibration-dependent counters are compared too, but only warn.
 
 Every instrument is classified hard or soft:
@@ -13,11 +13,11 @@ Every instrument is classified hard or soft:
   hard   difference beyond tolerance fails the gate (exit 1)
   soft   difference beyond tolerance prints a warning only
 
-Defaults: counters and histogram/sketch bucket counts are hard with 0%
+Defaults: counters and quantile-sketch bucket counts are hard with 0%
 tolerance (deterministic under a fixed seed); gauges are hard with
 --gauge-tol relative tolerance (ratios like engine.candidates_per_lookup
-are stable but float); histogram and quantile-sketch summary fields
-(sum/mean/percentiles/max) are soft. `--hard PATTERN` /
+are stable but float); sketch summary fields (sum/mean/quantiles/max) are
+soft. `--hard PATTERN` /
 `--soft PATTERN` (fnmatch over `kind:name`, first match wins, repeatable)
 override the defaults per metric — e.g. bench_match accumulates counters
 across google-benchmark calibration reruns, so its gate passes
@@ -43,8 +43,6 @@ import fnmatch
 import json
 import sys
 
-HIST_HARD_FIELDS = ("count", "counts")
-HIST_SOFT_FIELDS = ("sum", "mean", "p50", "p95", "p99")
 SKETCH_HARD_FIELDS = ("count", "buckets")
 SKETCH_SOFT_FIELDS = ("sum", "mean", "p50", "p90", "p99", "max")
 
@@ -59,8 +57,7 @@ def load_metrics(path):
         return None
     metrics = doc.get("metrics", doc)
     out = {}
-    kinds = {"counters": "counter", "gauges": "gauge",
-             "histograms": "histogram", "sketches": "sketch"}
+    kinds = {"counters": "counter", "gauges": "gauge", "sketches": "sketch"}
     for kind, singular in kinds.items():
         for inst in metrics.get(kind, []):
             labels = tuple(sorted(inst.get("labels", {}).items()))
@@ -103,7 +100,7 @@ class Gate:
             return True, self.args.counter_tol
         if kind == "gauge":
             return True, self.args.gauge_tol
-        return True, self.args.counter_tol  # histogram/sketch: hard fields only
+        return True, self.args.counter_tol  # sketch: hard fields only
 
     def check(self, key, field, old, new, hard, tol):
         d = rel_delta(old, new)
@@ -125,36 +122,19 @@ class Gate:
             self.check(key, "", old.get("value", 0), new.get("value", 0),
                        hard, tol)
             return
-        if kind == "sketch":
-            # Quantile sketch: bucket shape gates, derived stats warn.
-            for f in SKETCH_HARD_FIELDS:
-                ov, nv = old.get(f), new.get(f)
-                if ov is None or nv is None:
-                    continue
-                if f == "buckets":
-                    if ov != nv:
-                        self.check(key, " buckets",
-                                   sum(n for _, n in ov),
-                                   sum(n for _, n in nv), hard, tol)
-                else:
-                    self.check(key, f" {f}", ov, nv, hard, tol)
-            for f in SKETCH_SOFT_FIELDS:
-                ov, nv = old.get(f), new.get(f)
-                if ov is None or nv is None:
-                    continue
-                self.check(key, f" {f}", ov, nv, False, self.args.soft_tol)
-            return
-        # Histogram: deterministic shape fields gate, timing fields warn.
-        for f in HIST_HARD_FIELDS:
+        # Quantile sketch: bucket shape gates, derived stats warn.
+        for f in SKETCH_HARD_FIELDS:
             ov, nv = old.get(f), new.get(f)
             if ov is None or nv is None:
                 continue
-            if f == "counts":
+            if f == "buckets":
                 if ov != nv:
-                    self.check(key, " counts", sum(ov), sum(nv), hard, tol)
+                    self.check(key, " buckets",
+                               sum(n for _, n in ov),
+                               sum(n for _, n in nv), hard, tol)
             else:
                 self.check(key, f" {f}", ov, nv, hard, tol)
-        for f in HIST_SOFT_FIELDS:
+        for f in SKETCH_SOFT_FIELDS:
             ov, nv = old.get(f), new.get(f)
             if ov is None or nv is None:
                 continue

@@ -86,7 +86,7 @@ python3 scripts/bench_compare.py BENCH_match.json "${smoke_json}" \
 
 # Perf-regression gates: bench_flooding, bench_discovery (probe windows) and
 # bench_churn (leases under churn) run entirely in virtual time with fixed
-# seeds (Iterations(1)), so every exported counter and histogram bucket is
+# seeds (Iterations(1)), so every exported counter and sketch bucket is
 # deterministic — any drift against the committed baseline is a protocol
 # behaviour change (or a change of simulated event order) and hard-fails.
 # Wall-clock noise never enters the comparison (timing lives in
@@ -97,6 +97,13 @@ for bench in flooding discovery churn; do
   python3 scripts/bench_compare.py "BENCH_${bench}.json" \
     "${gate_dir}/BENCH_${bench}.json"
 done
+
+# Every snapshot renders: the committed baselines and this run's fresh gate
+# and smoke exports. The inspector is also the metric-catalog cross-check
+# (exit 1 on an uncatalogued name or a malformed metrics section).
+echo "== tiamat-inspect bench: baselines and fresh exports =="
+build/src/apps/tiamat-inspect bench BENCH_*.json "${smoke_json}" \
+  "${gate_dir}"/BENCH_*.json >/dev/null
 
 # Telemetry determinism smoke: the same seeded churn config run twice with
 # --series must emit byte-identical time-series documents (the recorder is

@@ -59,8 +59,8 @@ Per-file rules (each finding is `path:line: [rule] message`):
                   and bench/ (headers dragging <fstream> tax every
                   includer).
   metric-name     Every metric name passed to Registry::counter/gauge/
-                  histogram/sketch in src/ or bench/ (string literal, or
-                  the `prefix + ".suffix"` idiom) must appear in the
+                  sketch in src/ or bench/ (string literal, or the
+                  `prefix + ".suffix"` idiom) must appear in the
                   checked-in catalog src/obs/metric_names.h, so a typo
                   cannot silently mint a fresh forever-zero instrument —
                   and every catalogued name must still be minted somewhere,
@@ -274,7 +274,7 @@ TSA_ANNOTATION_RE = re.compile(
 # statically: a string literal, or the `<expr> + ".suffix"` idiom used by
 # prefix-parameterised helpers (tuple/matcher.h MatchMetrics).
 METRIC_CALL_RE = re.compile(
-    r'\b(?:counter|gauge|histogram|sketch)\s*\(\s*'
+    r'\b(?:counter|gauge|sketch)\s*\(\s*'
     r'(?:"(?P<name>[^"]+)"|[\w().\->\[\]]+\s*\+\s*"(?P<suffix>\.[^"]+)")'
 )
 

@@ -13,10 +13,10 @@
 //       flow arrows for the cross-instance protocol edges.
 //
 //   tiamat-inspect bench BENCH_*.json...
-//       prints a metrics snapshot: counters/gauges, histogram count, mean
-//       and derived p50/p95/p99, quantile-sketch p50/p90/p99/max, and flags
-//       instrument names missing from the checked-in catalog
-//       (src/obs/metric_names.h).
+//       prints a metrics snapshot: counters/gauges and quantile-sketch
+//       count, mean and p50/p90/p99/max, and flags instrument names missing
+//       from the checked-in catalog (src/obs/metric_names.h). A metrics
+//       section of the wrong shape is reported and exits 1.
 //
 //   tiamat-inspect series SERIES_*.json...
 //       renders continuous-telemetry documents (bench `--series` runs, or
@@ -153,14 +153,30 @@ std::string labels_text(const Value& instrument) {
 
 /// Name check against the catalog; bench-side names carry the same
 /// contract as src/ instrumentation.
-void check_catalogued(const Value& instrument, std::size_t& unknown) {
-  const Value* name = instrument.find("name");
-  if (name == nullptr || !name->is_string()) return;
-  if (!tiamat::obs::metric_names::catalogued(name->as_string())) {
-    std::cout << "  !! uncatalogued metric name: " << name->as_string()
+void check_catalogued(const std::string& name, std::size_t& unknown) {
+  if (!tiamat::obs::metric_names::catalogued(name)) {
+    std::cout << "  !! uncatalogued metric name: " << name
               << " (add it to src/obs/metric_names.h)\n";
     ++unknown;
   }
+}
+
+/// True when each instrument list the bench view reads is an array of
+/// objects with a string "name", plus a "value" for counters and gauges.
+bool metrics_well_formed(const Value& metrics) {
+  if (!metrics.is_object()) return false;
+  for (const char* section : {"counters", "gauges", "sketches"}) {
+    const Value* list = metrics.find(section);
+    if (list == nullptr) continue;
+    if (!list->is_array()) return false;
+    const bool valued = std::strcmp(section, "sketches") != 0;
+    for (const Value& e : list->as_array()) {
+      const Value* name = e.find("name");
+      if (name == nullptr || !name->is_string()) return false;
+      if (valued && e.find("value") == nullptr) return false;
+    }
+  }
+  return true;
 }
 
 int cmd_bench(const std::vector<std::string>& args) {
@@ -190,58 +206,34 @@ int cmd_bench(const std::vector<std::string>& args) {
       std::cerr << "  no metrics section\n";
       return 1;
     }
-    if (const Value* counters = metrics->find("counters")) {
-      std::cout << " counters:\n";
-      for (const Value& c : counters->as_array()) {
-        const Value* name = c.find("name");
-        const Value* value = c.find("value");
-        if (name == nullptr || value == nullptr) continue;
-        std::cout << "  " << name->as_string() << labels_text(c) << " = "
-                  << value->dump() << "\n";
-        check_catalogued(c, unknown);
-      }
+    if (!metrics_well_formed(*metrics)) {
+      std::cerr << p << ": malformed metrics section\n";
+      return 1;
     }
-    if (const Value* gauges = metrics->find("gauges")) {
-      std::cout << " gauges:\n";
-      for (const Value& g : gauges->as_array()) {
-        const Value* name = g.find("name");
-        const Value* value = g.find("value");
-        if (name == nullptr || value == nullptr) continue;
-        std::cout << "  " << name->as_string() << labels_text(g) << " = "
-                  << value->dump() << "\n";
-        check_catalogued(g, unknown);
+    for (const char* section : {"counters", "gauges"}) {
+      const Value* list = metrics->find(section);
+      if (list == nullptr) continue;
+      std::cout << " " << section << ":\n";
+      for (const Value& c : list->as_array()) {
+        const std::string& name = c.find("name")->as_string();
+        std::cout << "  " << name << labels_text(c) << " = "
+                  << c.find("value")->dump() << "\n";
+        check_catalogued(name, unknown);
       }
     }
     if (const Value* sketches = metrics->find("sketches")) {
       std::cout << " sketches (count / mean / p50 / p90 / p99 / max):\n";
       for (const Value& s : sketches->as_array()) {
-        const Value* name = s.find("name");
-        if (name == nullptr) continue;
         auto num = [&](const char* key) {
           const Value* v = s.find(key);
           return v != nullptr && v->is_number() ? v->as_double() : 0.0;
         };
-        std::cout << "  " << name->as_string() << labels_text(s) << "  "
+        const std::string& name = s.find("name")->as_string();
+        std::cout << "  " << name << labels_text(s) << "  "
                   << static_cast<std::int64_t>(num("count")) << " / "
                   << num("mean") << " / " << num("p50") << " / " << num("p90")
                   << " / " << num("p99") << " / " << num("max") << "\n";
-        check_catalogued(s, unknown);
-      }
-    }
-    if (const Value* hists = metrics->find("histograms")) {
-      std::cout << " histograms (count / mean / p50 / p95 / p99):\n";
-      for (const Value& h : hists->as_array()) {
-        const Value* name = h.find("name");
-        if (name == nullptr) continue;
-        auto num = [&](const char* key) {
-          const Value* v = h.find(key);
-          return v != nullptr && v->is_number() ? v->as_double() : 0.0;
-        };
-        std::cout << "  " << name->as_string() << labels_text(h) << "  "
-                  << static_cast<std::int64_t>(num("count")) << " / "
-                  << num("mean") << " / " << num("p50") << " / " << num("p95")
-                  << " / " << num("p99") << "\n";
-        check_catalogued(h, unknown);
+        check_catalogued(name, unknown);
       }
     }
   }

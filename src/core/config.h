@@ -69,13 +69,6 @@ struct Config {
   net::ResponderCache::Ordering cache_ordering =
       net::ResponderCache::Ordering::kPaperList;
 
-  /// Operation tracing (obs/trace.h). Off by default — a disabled tracer
-  /// costs one predicted branch per instrumentation point. Enable (or
-  /// install a sink via Instance::tracer()) to capture the causal event
-  /// chain of every logical-space operation.
-  bool trace_ops = false;
-  std::size_t trace_capacity = 512;  ///< ring-buffer size per instance
-
   /// Health-probe thresholds, evaluated once per telemetry sample tick when
   /// the instance is registered with a TimeSeriesRecorder
   /// (Instance::register_telemetry). A breach emits a kProbeBreach trace

@@ -188,9 +188,10 @@ class Instance {
   space::EvalEngine& evals() { return evals_; }
   Monitor& monitor() { return monitor_; }
   /// The instance's metric registry (owned by the Monitor): every counter,
-  /// gauge and histogram this instance emits, snapshot-able to JSON.
+  /// gauge and sketch this instance emits, snapshot-able to JSON.
   obs::Registry& metrics() { return monitor_.registry(); }
-  /// Per-instance operation tracer (ring buffer + optional sink).
+  /// Per-instance operation tracer: off until a sink is installed (or it
+  /// is enabled) through this handle.
   obs::Tracer& tracer() { return tracer_; }
 
   /// Always-on bounded tail of recent trace events; dumped by audit traps.

@@ -1,11 +1,13 @@
-// Always-on flight recorder: a bounded last-K-events ring per instance.
+// Always-on flight recorder: a bounded last-K-events ring per instance, and
+// the codebase's one ring of recent events.
 //
-// The Tracer (obs/trace.h) is opt-in — off by default so the hot path stays
-// within the <5% overhead budget. The flight recorder is the complement: it
-// is ALWAYS recording, bounded to a small fixed K, and exists so that when
-// something traps (an src/audit invariant violation, a test death path) the
-// diagnostic comes with the recent cross-instance causal history attached —
-// the last thing every instance was doing, not just the broken structure.
+// The Tracer (obs/trace.h) is an opt-in feed to a sink — off by default so
+// the hot path stays within the <5% overhead budget — and keeps no history.
+// The flight recorder is the complement: it is ALWAYS recording, bounded to
+// a small fixed K, and exists so that when something traps (an src/audit
+// invariant violation, a test death path) the diagnostic comes with the
+// recent cross-instance causal history attached — the last thing every
+// instance was doing, not just the broken structure.
 //
 // Cost model: one TraceEvent copy into a pre-sized ring per instrumentation
 // point. The ring is written only by its owning instance's strand (plain

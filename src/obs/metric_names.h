@@ -3,10 +3,10 @@
 // Why a catalog: instruments are created on first use by *string name*, so
 // a typo'd name ("op.strated") silently creates a fresh, forever-zero
 // instrument instead of failing. `scripts/lint_tiamat.py`'s `metric-name`
-// rule cross-checks every `counter(...)` / `gauge(...)` / `histogram(...)` /
-// `sketch(...)` call in src/ and bench/ against this list, making the name
-// set a reviewed, diffable contract. Add the name here in the same PR that
-// introduces the instrument.
+// rule cross-checks every `counter(...)` / `gauge(...)` / `sketch(...)` call
+// in src/ and bench/ against this list, making the name set a reviewed,
+// diffable contract. Add the name here in the same PR that introduces the
+// instrument.
 //
 // Names follow `<subsystem>.<what>` with label dimensions (peer, op,
 // scenario, ...) supplied at the call site, never baked into the name.

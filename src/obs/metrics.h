@@ -1,14 +1,13 @@
-// Metrics registry: named counters, gauges and fixed-bucket histograms with
+// Metrics registry: named counters, gauges and quantile sketches with
 // optional labels (per-peer, per-op-kind, ...), snapshot-able to JSON.
 //
 // Design constraints, in order:
 //   1. Hot-path cost. An instrument is looked up (or created) once and held
 //      by reference; updating it is a relaxed atomic add (obs/cells.h) —
 //      striped for counters so concurrent writers never share a cache
-//      line. Histograms use fixed buckets so observation is a binary
-//      search plus two adds — no unbounded sample vectors on per-op paths
-//      (transport::Summary keeps that role for bench-side aggregation
-//      only).
+//      line. The sketch (obs/quantile.h) is the one distribution type: an
+//      observation is a few adds into bounded log buckets, never a stored
+//      sample, on per-op paths and in bench-side aggregation alike.
 //   2. Determinism. The registry iterates instruments in lexicographic
 //      (name, labels) order, so two runs with the same seed produce
 //      byte-identical snapshots — which is what makes BENCH_*.json
@@ -76,49 +75,6 @@ class Gauge {
   AtomicF64 v_;
 };
 
-/// Fixed-bucket histogram: `bounds` are inclusive upper bounds of the first
-/// N buckets; one implicit overflow bucket catches the rest. Percentiles are
-/// estimated by linear interpolation inside the containing bucket, which is
-/// exact enough for p50/p95/p99 latency tracking at a fraction of the cost
-/// and memory of keeping every sample.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-
-  std::uint64_t count() const { return count_.load(); }
-  double sum() const { return sum_.load(); }
-  double mean() const {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-  }
-
-  /// Percentile estimate, p in [0,100]; 0 on empty.
-  double percentile(double p) const;
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts, materialized (bounds().size() + 1 entries).
-  std::vector<std::uint64_t> bucket_counts() const;
-
-  /// Restores accumulated state from a snapshot (JSON round-trip).
-  void restore(std::vector<std::uint64_t> counts, double sum,
-               std::uint64_t count);
-
-  /// Exponentially spaced bounds: start, start*factor, ... (n values).
-  static std::vector<double> exponential_bounds(double start, double factor,
-                                                std::size_t n);
-  /// Default bounds for virtual-time latencies in microseconds
-  /// (100us .. ~100s).
-  static const std::vector<double>& latency_bounds_us();
-
- private:
-  std::vector<double> bounds_;      ///< ascending upper bounds
-  std::vector<AtomicU64> counts_;   ///< bounds_.size() + 1 (overflow)
-  AtomicF64 sum_;
-  AtomicU64 count_;
-};
-
 /// Owns every instrument. Lookup-or-create by (name, labels); references
 /// stay valid for the registry's lifetime.
 class Registry {
@@ -131,19 +87,14 @@ class Registry {
       TIAMAT_EXCLUDES(mu_);
   Gauge& gauge(const std::string& name, Labels labels = {})
       TIAMAT_EXCLUDES(mu_);
-  /// `bounds` is used on first creation only; later calls with the same
-  /// (name, labels) return the existing histogram unchanged.
-  Histogram& histogram(const std::string& name, Labels labels = {},
-                       std::vector<double> bounds = {}) TIAMAT_EXCLUDES(mu_);
   /// Log-bucketed quantile sketch (obs/quantile.h): the instrument of
   /// choice for latency-shaped metrics — principled p50/p90/p99/max with
   /// no bound configuration, mergeable across instances and windows.
   QuantileSketch& sketch(const std::string& name, Labels labels = {})
       TIAMAT_EXCLUDES(mu_);
 
-  /// Serializes every instrument. Histograms carry bounds/counts/sum plus
-  /// derived p50/p95/p99; sketches carry sparse buckets plus derived
-  /// p50/p90/p99/max, so exported files are directly consumable.
+  /// Serializes every instrument. Sketches carry sparse buckets plus
+  /// derived p50/p90/p99/max, so exported files are directly consumable.
   json::Value snapshot() const TIAMAT_EXCLUDES(mu_);
   std::string snapshot_json(int indent = 2) const TIAMAT_EXCLUDES(mu_);
 
@@ -178,8 +129,6 @@ class Registry {
   mutable transport::Mutex mu_;
   std::map<Key, std::unique_ptr<Counter>> counters_ TIAMAT_GUARDED_BY(mu_);
   std::map<Key, std::unique_ptr<Gauge>> gauges_ TIAMAT_GUARDED_BY(mu_);
-  std::map<Key, std::unique_ptr<Histogram>> histograms_
-      TIAMAT_GUARDED_BY(mu_);
   std::map<Key, std::unique_ptr<QuantileSketch>> sketches_
       TIAMAT_GUARDED_BY(mu_);
 };

@@ -1,8 +1,10 @@
-// Log-bucketed quantile sketch (HDR-histogram style).
+// Log-bucketed quantile sketch (HDR-histogram style): the codebase's one
+// distribution type. Instance latencies, the engine's rejections per lookup
+// and every bench-side latency accumulator are sketches.
 //
 // Latency distributions in this codebase span five orders of magnitude
-// (sub-millisecond local hits to multi-second churn waits). The fixed-bucket
-// obs::Histogram needs its bounds chosen up front and interpolates inside
+// (sub-millisecond local hits to multi-second churn waits). Fixed buckets
+// would need their bounds chosen up front and would interpolate inside
 // whatever bucket the tail lands in; this sketch instead derives its buckets
 // from the value itself — a power-of-two octave split into 2^kSubBits
 // sub-buckets — so every value is recorded with bounded relative error
@@ -20,6 +22,8 @@
 //     storing samples.
 //   - Bounded. Storage is one 32-cell block per occupied octave group
 //     (obs/cells.h), independent of sample count.
+//   - Exact totals. count() and sum() add every sample in arrival order, so
+//     mean() is the plain running mean, bit for bit.
 //   - Thread-safe to write. observe() is a handful of relaxed atomic adds
 //     (obs/cells.h), so writers on loopback strands never contend with a
 //     reader snapshotting the registry; every cell is monotone, so a

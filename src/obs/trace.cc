@@ -145,8 +145,7 @@ bool JsonlSink::ok() const { return out_->f.good(); }
 
 // ---- Tracer -----------------------------------------------------------------
 
-Tracer::Tracer(transport::NodeId node, std::size_t capacity)
-    : node_(node), capacity_(capacity == 0 ? 1 : capacity) {}
+Tracer::Tracer() = default;
 
 Tracer::~Tracer() {
   // Flush every thread's ring cache: any entry pointing at this tracer's
@@ -155,29 +154,12 @@ Tracer::~Tracer() {
   g_tracer_generation.add(1);
 }
 
-void Tracer::record(transport::Time at, transport::NodeId origin, std::uint64_t op_id,
-                    EventKind kind, transport::NodeId peer, std::int64_t detail) {
-  if (!enabled_) return;
-  record(TraceEvent{at, node_, origin, op_id, kind, peer, detail});
-}
-
 void Tracer::record(const TraceEvent& e) {
   if (!enabled_) return;
   if (thread_rings_) {
     thread_ring()->push(e, seq_.fetch_add(1));
     return;
   }
-  commit(e);
-}
-
-void Tracer::commit(const TraceEvent& e) {
-  if (ring_.size() < capacity_) {
-    ring_.push_back(e);
-  } else {
-    ring_[next_] = e;
-  }
-  next_ = (next_ + 1) % capacity_;
-  ++recorded_;
   if (sink_) sink_->on_event(e);
 }
 
@@ -193,7 +175,7 @@ TraceRing* Tracer::thread_ring() {
   TraceRing* ring = nullptr;
   {
     transport::MutexLock lock(mu_);
-    rings_.push_back(std::make_unique<TraceRing>(capacity_));
+    rings_.push_back(std::make_unique<TraceRing>(kThreadRingCapacity));
     ring = rings_.back().get();
   }
   t_ring_cache.push_back(RingCacheEntry{this, ring});
@@ -213,7 +195,9 @@ std::size_t Tracer::drain() {
               return a.event.at != b.event.at ? a.event.at < b.event.at
                                               : a.seq < b.seq;
             });
-  for (const TraceRing::Entry& entry : entries) commit(entry.event);
+  if (sink_) {
+    for (const TraceRing::Entry& entry : entries) sink_->on_event(entry.event);
+  }
   ring_drained_.add(entries.size());
   return entries.size();
 }
@@ -230,16 +214,6 @@ std::uint64_t Tracer::ring_dropped() const {
   std::uint64_t total = 0;
   for (const auto& ring : rings_) total += ring->dropped();
   return total;
-}
-
-std::vector<TraceEvent> Tracer::recent() const {
-  if (ring_.size() < capacity_) return ring_;
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % capacity_]);
-  }
-  return out;
 }
 
 }  // namespace tiamat::obs

@@ -8,10 +8,11 @@
 //   response -> exactly one accept (+ a reinsert at every other peer that
 //   tentatively removed a match) -> confirm / expiry.
 //
-// The Tracer is a per-instance fixed-capacity ring buffer with a pluggable
-// sink. Tracing is off by default; a disabled tracer costs one predictable
-// branch per instrumentation point (the acceptance bar for the null path is
-// <5% overhead on the hot benches).
+// The Tracer feeds a pluggable sink; the bounded history of recent events
+// is the always-on FlightRecorder's (obs/flight_recorder.h). Tracing is off
+// by default; a disabled tracer costs one predictable branch per
+// instrumentation point (the acceptance bar for the null path is <5%
+// overhead on the hot benches).
 
 #pragma once
 
@@ -119,22 +120,20 @@ class JsonlSink : public TraceSink {
 
 class TraceRing;
 
-/// Per-instance recorder: bounded ring of recent events plus an optional
-/// sink fed with every event. Disabled (the default) it records nothing.
+/// Per-instance event feed: hands every recorded event to an optional sink.
+/// Disabled (the default) it records nothing.
 ///
 /// Two collection modes (DESIGN.md §13):
 ///   - Direct (the default, and the only mode the sim backend ever uses):
-///     record() appends to the ring and the sink inline on the calling
-///     strand. Single-threaded behavior is exactly the pre-ring Tracer's,
-///     byte for byte.
+///     record() calls the sink inline on the calling strand.
 ///   - Thread rings (set_thread_rings(true), for multi-threaded transport
 ///     backends): each recording thread registers lazily and gets a
 ///     private fixed-capacity SPSC ring (obs/trace_ring.h); record() is a
 ///     lock-free push stamped with a tracer-wide sequence number, and the
-///     shared ring/sink are only touched by drain(), which merges every
-///     thread ring in (at, seq) order. The sink therefore sees events from
-///     exactly one thread at a time — that is the fix for the shared-sink
-///     race under LoopbackTransport.
+///     sink is only called by drain(), which merges every thread ring in
+///     (at, seq) order. The sink therefore sees events from exactly one
+///     thread at a time — that is the fix for the shared-sink race under
+///     LoopbackTransport.
 ///
 /// Mode and enablement are configuration: flip them before concurrent
 /// recording starts (thread creation / strand hand-off publishes them).
@@ -142,7 +141,10 @@ class TraceRing;
 /// a use-after-free in either mode, same as any other member.
 class Tracer {
  public:
-  explicit Tracer(transport::NodeId node, std::size_t capacity = 512);
+  /// Slots in each recording thread's ring; a full ring drops and counts.
+  static constexpr std::size_t kThreadRingCapacity = 512;
+
+  Tracer();
   ~Tracer();
 
   Tracer(const Tracer&) = delete;
@@ -151,7 +153,7 @@ class Tracer {
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
 
-  /// Installing a sink implies enabling; a null sink keeps the ring only.
+  /// Installing a sink implies enabling.
   void set_sink(std::shared_ptr<TraceSink> sink) {
     sink_ = std::move(sink);
     if (sink_) enabled_ = true;
@@ -168,25 +170,15 @@ class Tracer {
   /// front-loads the one-time lock acquisition.
   void register_current_thread() TIAMAT_EXCLUDES(mu_);
 
-  /// Merges every thread ring into the legacy ring + sink in (at, seq)
-  /// order and returns the number of events moved. Safe to call while
-  /// producers are still recording (each ring is SPSC; the caller is the
-  /// one consumer) — concurrent pushes simply wait for the next drain.
+  /// Merges every thread ring into the sink in (at, seq) order and returns
+  /// the number of events moved. Safe to call while producers are still
+  /// recording (each ring is SPSC; the caller is the one consumer) —
+  /// concurrent pushes simply wait for the next drain.
   std::size_t drain() TIAMAT_EXCLUDES(mu_);
-
-  void record(transport::Time at, transport::NodeId origin, std::uint64_t op_id,
-              EventKind kind, transport::NodeId peer = transport::kNoNode,
-              std::int64_t detail = 0);
 
   /// Records a pre-built event as-is (the caller stamps every field,
   /// including `node`); shared path with the always-on FlightRecorder.
   void record(const TraceEvent& e);
-
-  /// Ring contents, oldest first.
-  std::vector<TraceEvent> recent() const;
-
-  std::uint64_t recorded() const { return recorded_; }
-  std::size_t capacity() const { return capacity_; }
 
   /// Thread-ring accounting. Drops are rejected at push time and counted
   /// separately, so the conservation law the chaos oracle checks is
@@ -198,17 +190,11 @@ class Tracer {
   std::uint64_t ring_drained() const { return ring_drained_.load(); }
 
  private:
-  void commit(const TraceEvent& e);  ///< legacy ring + sink append
   TraceRing* thread_ring() TIAMAT_EXCLUDES(mu_);
 
-  transport::NodeId node_;
-  std::size_t capacity_;
   bool enabled_ = false;
   bool thread_rings_ = false;     ///< collection mode (config-time)
   std::shared_ptr<TraceSink> sink_;
-  std::vector<TraceEvent> ring_;  ///< grows to capacity_, then wraps
-  std::size_t next_ = 0;          ///< ring insertion cursor
-  std::uint64_t recorded_ = 0;    ///< total events ever recorded
   AtomicU64 seq_;                 ///< record-order stamp (merge tiebreak)
   AtomicU64 ring_drained_;        ///< events moved out of thread rings
   mutable transport::Mutex mu_;

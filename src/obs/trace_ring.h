@@ -74,7 +74,6 @@ class TraceRing {
   std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
-  std::size_t capacity() const { return slots_.size(); }
 
  private:
   std::vector<Entry> slots_;

@@ -16,7 +16,7 @@
 //     and WaiterIndex. Raw counters are always maintained (cheap integer
 //     adds); bind_metrics() additionally mirrors them into an obs::Registry
 //     so BENCH_*.json and instance snapshots expose bucket-probe vs
-//     full-scan-fallback ratios and a candidate-rejection histogram.
+//     full-scan-fallback ratios and a rejections-per-lookup sketch.
 
 #pragma once
 
@@ -108,10 +108,7 @@ class MatchMetrics {
     scans_ = &r.counter(prefix + ".scan_fallbacks");
     candidates_ = &r.counter(prefix + ".candidates");
     rejected_ = &r.counter(prefix + ".rejected");
-    // Rejections per lookup: 0..64 in powers of two, overflow above.
-    rejected_per_op_ = &r.histogram(
-        prefix + ".rejected_per_lookup", {},
-        std::vector<double>{0, 1, 2, 4, 8, 16, 32, 64});
+    rejected_per_op_ = &r.sketch(prefix + ".rejected_per_lookup");
   }
 
   bool bound() const { return probes_ != nullptr; }
@@ -135,7 +132,7 @@ class MatchMetrics {
   obs::Counter* scans_ = nullptr;
   obs::Counter* candidates_ = nullptr;
   obs::Counter* rejected_ = nullptr;
-  obs::Histogram* rejected_per_op_ = nullptr;
+  obs::QuantileSketch* rejected_per_op_ = nullptr;
 };
 
 }  // namespace tiamat::tuples

@@ -2,5 +2,5 @@
 void record(int v, const std::string& prefix) {
   reg.counter("ops.count")->add(v);
   reg.counter("ops.typo")->add(v);
-  reg.histogram(prefix + ".nope")->observe(v);
+  reg.sketch(prefix + ".nope")->observe(v);
 }

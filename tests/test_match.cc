@@ -12,8 +12,11 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/quantile.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "space/local_space.h"
@@ -242,6 +245,54 @@ TEST(WaiterIndexTest, CandidatesCoverEveryMatchingWaiter) {
     }
     // No dangling ids.
     for (std::uint64_t id : cands) EXPECT_TRUE(waiters.contains(id));
+  }
+}
+
+// ---- Registry mirror -------------------------------------------------------
+
+// perfbench's per-layer counts read the engine through the registry mirror:
+// every mirrored counter must equal the raw MatchStats field it shadows,
+// and the rejections-per-lookup sketch holds one sample per probe or scan.
+TEST(MatchEngine, RegistryMirrorEqualsMatchStats) {
+  sim::Rng rng(20261017);
+  obs::Registry reg;
+  TupleIndex idx;
+  WaiterIndex<int> waiters;
+  idx.bind_metrics(reg);
+  waiters.bind_metrics(reg);
+  for (TupleId id = 1; id <= 2000; ++id) {
+    Tuple t = random_tuple(rng);
+    idx.insert(id, t);
+    if (rng.chance(0.3)) {
+      waiters.add(id, CompiledPattern(random_pattern(rng, t.arity(), &t)), 0);
+    }
+    // Keyed or unkeyed by whether the first field came out an actual.
+    Pattern p = random_pattern(rng, rng.index(7), &t);
+    if (rng.chance(0.5)) {
+      idx.find_first(p);
+    } else {
+      idx.count_matches(p);
+    }
+    waiters.candidates(random_tuple(rng));
+  }
+  EXPECT_GT(idx.match_stats().bucket_probes, 0u);
+  EXPECT_GT(idx.match_stats().scan_fallbacks, 0u);
+
+  for (const auto& [prefix, stats] :
+       {std::pair{std::string("match"), idx.match_stats()},
+        std::pair{std::string("waiters"), waiters.match_stats()}}) {
+    SCOPED_TRACE(prefix);
+    EXPECT_GT(stats.rejected, 0u);
+    EXPECT_EQ(reg.counter(prefix + ".bucket_probes").value(),
+              stats.bucket_probes);
+    EXPECT_EQ(reg.counter(prefix + ".scan_fallbacks").value(),
+              stats.scan_fallbacks);
+    EXPECT_EQ(reg.counter(prefix + ".candidates").value(), stats.candidates);
+    EXPECT_EQ(reg.counter(prefix + ".rejected").value(), stats.rejected);
+    const obs::QuantileSketch& per_lookup =
+        reg.sketch(prefix + ".rejected_per_lookup");
+    EXPECT_EQ(per_lookup.count(), stats.bucket_probes + stats.scan_fallbacks);
+    EXPECT_EQ(per_lookup.sum(), static_cast<double>(stats.rejected));
   }
 }
 

@@ -1,6 +1,6 @@
 // Observability subsystem tests: minimal JSON round-trip, metrics registry
-// (counters/gauges/fixed-bucket histograms, labeled dimensions, snapshot and
-// reload), tracer ring buffer, and an end-to-end three-instance scenario
+// (counters/gauges/sketches, labeled dimensions, snapshot and reload), the
+// tracer's enable flag, and an end-to-end three-instance scenario
 // proving that span events recorded at different instances join into one
 // causal chain through the (origin, op_id) pair.
 
@@ -157,26 +157,14 @@ TEST(ObsMetrics, LabelsAreDimensionsAndOrderInsensitive) {
   EXPECT_EQ(other.value(), 0u);
 }
 
-TEST(ObsMetrics, HistogramPercentilesFromBuckets) {
-  obs::Histogram h(obs::Histogram::exponential_bounds(1.0, 2.0, 4));  // 1,2,4,8
-  for (int i = 0; i < 1000; ++i) h.observe(3.0);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-  // Every sample landed in (2,4]; interpolation stays inside that bucket.
-  EXPECT_GT(h.percentile(50), 2.0);
-  EXPECT_LE(h.percentile(50), 4.0);
-  EXPECT_GT(h.percentile(99), h.percentile(50));
-  EXPECT_LE(h.percentile(99), 4.0);
-}
-
 TEST(ObsMetrics, RegistrySnapshotJsonRoundTrip) {
   obs::Registry r;
   r.counter("op.started").add(7);
   r.counter("rpc.timeouts", {{"peer", "3"}}).add(2);
   r.gauge("lease.active").set(4);
-  obs::Histogram& h = r.histogram("op.latency_us");
-  h.observe(250.0);
-  h.observe(90000.0);
+  obs::QuantileSketch& lat = r.sketch("op.latency_us");
+  lat.observe(250.0);
+  lat.observe(90000.0);
 
   const std::string s1 = r.snapshot_json();
   auto doc = obs::json::Value::parse(s1);
@@ -187,35 +175,19 @@ TEST(ObsMetrics, RegistrySnapshotJsonRoundTrip) {
   EXPECT_EQ(r2.snapshot_json(), s1);
   EXPECT_EQ(r2.counter("op.started").value(), 7u);
   EXPECT_EQ(r2.counter("rpc.timeouts", {{"peer", "3"}}).value(), 2u);
-  EXPECT_EQ(r2.histogram("op.latency_us").count(), 2u);
-  EXPECT_DOUBLE_EQ(r2.histogram("op.latency_us").percentile(50),
-                   h.percentile(50));
+  EXPECT_EQ(r2.sketch("op.latency_us").count(), 2u);
+  EXPECT_DOUBLE_EQ(r2.sketch("op.latency_us").p50(), lat.p50());
 }
 
-// ---------------- Tracer ring ----------------
-
-TEST(ObsTrace, RingKeepsNewestAndCountsAll) {
-  obs::Tracer t(/*node=*/1, /*capacity=*/4);
-  t.set_enabled(true);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    t.record(static_cast<sim::Time>(i), /*origin=*/1, /*op_id=*/i,
-             EventKind::kOpIssued);
-  }
-  EXPECT_EQ(t.recorded(), 6u);
-  const auto recent = t.recent();
-  ASSERT_EQ(recent.size(), 4u);
-  EXPECT_EQ(recent.front().op_id, 2u);  // oldest kept
-  EXPECT_EQ(recent.back().op_id, 5u);
-  for (std::size_t i = 1; i < recent.size(); ++i) {
-    EXPECT_LT(recent[i - 1].op_id, recent[i].op_id);  // oldest-first order
-  }
-}
+// ---------------- Tracer ----------------
 
 TEST(ObsTrace, DisabledRecordsNothing) {
-  obs::Tracer t(1);
-  t.record(0, 1, 1, EventKind::kOpIssued);
-  EXPECT_EQ(t.recorded(), 0u);
-  EXPECT_TRUE(t.recent().empty());
+  obs::Tracer t;
+  auto sink = std::make_shared<obs::MemorySink>();
+  t.set_sink(sink);
+  t.set_enabled(false);
+  t.record(TraceEvent{0, 1, 1, 1, EventKind::kOpIssued, sim::kNoNode, 0});
+  EXPECT_TRUE(sink->events().empty());
 }
 
 TEST(ObsTrace, EventJsonHasStableSchema) {
@@ -392,25 +364,6 @@ TEST_F(ObsFixture, PeerTimeoutIsTracedAndCountedPerPeer) {
                                    e.peer == b->node();
                           }),
             1);
-}
-
-// Config-driven tracing (no sink): ring only, bounded by trace_capacity.
-TEST_F(ObsFixture, ConfigEnablesRingTracing) {
-  Config cfg;
-  cfg.name = "t";
-  cfg.trace_ops = true;
-  cfg.trace_capacity = 8;
-  Instance a(w.tx, cfg);
-  EXPECT_TRUE(a.tracer().enabled());
-  EXPECT_EQ(a.tracer().capacity(), 8u);
-
-  a.out(Tuple{"k", 1});
-  std::optional<core::ReadResult> r;
-  a.rdp(Pattern{"k", any_int()}, [&](auto res) { r = std::move(res); });
-  w.run_for(sim::seconds(1));
-  ASSERT_TRUE(r.has_value());
-  EXPECT_GT(a.tracer().recorded(), 0u);
-  EXPECT_LE(a.tracer().recent().size(), 8u);
 }
 
 }  // namespace

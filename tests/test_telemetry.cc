@@ -1,7 +1,6 @@
 // Continuous-telemetry tests: the log-bucketed quantile sketch (bucket
-// math, quantile queries, merge/window algebra, snapshot round-trip), the
-// fixed-bucket histogram's percentile edge cases it replaces for latency
-// metrics, and the TimeSeriesRecorder — byte-determinism across seeded
+// math, quantile queries, merge/window algebra, snapshot round-trip) and
+// the TimeSeriesRecorder — byte-determinism across seeded
 // runs, bounded memory under long runs, and the health-probe catalog
 // firing (and leaving its trace/counter footprints) in a partition
 // scenario.
@@ -65,9 +64,11 @@ TEST(Quantile, EmptyAndSingleSample) {
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(s.p99(), 0.0);
   EXPECT_DOUBLE_EQ(s.max(), 0.0);
+  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 
   s.observe(1234.5);
   EXPECT_EQ(s.count(), 1u);
+  EXPECT_DOUBLE_EQ(s.mean(), 1234.5);
   // Any quantile of one sample is that sample; the top bucket reports the
   // exact max rather than its (coarser) bucket edge.
   EXPECT_DOUBLE_EQ(s.quantile(0.0), 1234.5);
@@ -169,40 +170,6 @@ TEST(Quantile, RegistrySnapshotRoundTripIsByteIdentical) {
   EXPECT_DOUBLE_EQ(s2.max(), s.max());
   EXPECT_EQ(s2.buckets(), s.buckets());
   EXPECT_DOUBLE_EQ(s2.p99(), s.p99());
-}
-
-// ---------------- Histogram edge cases ----------------
-
-TEST(HistogramEdge, EmptyPercentileIsZero) {
-  obs::Histogram h(obs::Histogram::exponential_bounds(1.0, 2.0, 4));
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.percentile(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 0.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(HistogramEdge, SingleSampleStaysInItsBucket) {
-  obs::Histogram h(obs::Histogram::exponential_bounds(1.0, 2.0, 4));  // 1,2,4,8
-  h.observe(3.0);  // bucket (2,4]
-  EXPECT_EQ(h.count(), 1u);
-  for (double p : {1.0, 50.0, 99.0, 100.0}) {
-    EXPECT_GT(h.percentile(p), 2.0);
-    EXPECT_LE(h.percentile(p), 4.0);
-  }
-}
-
-TEST(HistogramEdge, OverflowBucketReportsItsLowerEdge) {
-  obs::Histogram h(obs::Histogram::exponential_bounds(1.0, 2.0, 4));  // 1,2,4,8
-  h.observe(100.0);  // above every bound: the open overflow bucket
-  h.observe(200.0);
-  EXPECT_EQ(h.count(), 2u);
-  // No upper bound to interpolate toward: the estimate pins to the last
-  // finite edge instead of inventing a value.
-  EXPECT_DOUBLE_EQ(h.percentile(50), 8.0);
-  EXPECT_DOUBLE_EQ(h.percentile(99), 8.0);
-  const auto& counts = h.bucket_counts();
-  EXPECT_EQ(counts.back(), 2u);
 }
 
 // ---------------- TimeSeriesRecorder ----------------
