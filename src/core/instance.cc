@@ -95,6 +95,13 @@ Instance::Instance(transport::Transport& tx, Config cfg,
 }
 
 Instance::~Instance() {
+  // Model departure from the environment: in-flight packets to this node
+  // are dropped and it stops being visible. This comes first because it
+  // also quiesces the node: on a concurrent backend remove_node returns
+  // only once no delivery or timer of this node is running or can start,
+  // so the walks below cannot race the strand (an instance may be
+  // destroyed from any thread).
+  if (tx_.node_exists(node_)) tx_.remove_node(node_);
   // Cancel every timer that captures `this` before members are torn down.
   transport::TimerService& q = timers_;
   for (auto& [id, op] : ops_) {
@@ -113,9 +120,6 @@ Instance::~Instance() {
     (void)id;
     if (pc.timer != transport::kInvalidEvent) q.cancel(pc.timer);
   }
-  // Model departure from the environment: in-flight packets to this node
-  // are dropped and it stops being visible.
-  if (tx_.node_exists(node_)) tx_.remove_node(node_);
 }
 
 space::SpaceHandle Instance::handle() const {

@@ -256,6 +256,8 @@ class Instance {
 
   bool start_op(OpKind kind, const Pattern& p, ReadCallback cb,
                 const lease::LeaseRequester& requester);
+  /// Blocking kinds' local step: a present match finishes the op, else a
+  /// local waiter is armed. (start_op searches for inp/rdp itself.)
   void op_try_local(LogicalOp& op);
   void op_advance(std::uint64_t op_id);
   void op_contact(LogicalOp& op, transport::NodeId target);

@@ -2,10 +2,14 @@
 //
 // A logical-space operation runs this state machine:
 //
-//   negotiate lease ──refused──> fail (no work at all, Figure 2)
+//   agree lease terms ──refused──> fail (no work at all, Figure 2)
 //        │
-//   try local space ──hit──> finish(local)
-//        │ miss
+//   inp/rdp: search local space ──hit──> finish(local); the lease is
+//        │ miss                          accounted, never materialised
+//   grant lease (id, expiry timer, table entry) + open the op
+//        │
+//   rd/in: try local space ──hit──> finish(local)
+//        │ miss: local waiter armed
 //   contact responder list from the top, removing non-responders;
 //   destructive matches are removed *tentatively* at the responder:
 //   first response wins (kConfirm), everyone else is released (kRelease /
@@ -44,14 +48,39 @@ bool Instance::start_op(OpKind kind, const Pattern& p, ReadCallback cb,
   const std::uint64_t id = correlator_.next_op_id();
   trace(obs::EventKind::kOpIssued, node_, id, transport::kNoNode,
         static_cast<std::int64_t>(kind));
-  auto l = leases_.negotiate(requester);
-  if (!l) {
+  auto terms = leases_.agree(requester);
+  if (!terms) {
     // Figure 2: "If a lease is refused, no further work is carried out on
     // the operation."
     ++monitor_.counters().ops_lease_refused;
     trace(obs::EventKind::kLeaseRefused, node_, id);
     return false;
   }
+  const transport::Time started_at = tx_.now();
+
+  if (!is_blocking(kind)) {
+    // A local hit ends the op, and so its lease, before this call returns:
+    // the lease is accounted but never materialised (no Lease, no expiry
+    // timer, no LogicalOp).
+    const tuples::CompiledPattern cp(p);
+    std::optional<Tuple> t =
+        kind == OpKind::kInp ? space_.inp(cp) : space_.rdp(cp);
+    if (t) {
+      trace(obs::EventKind::kLeaseGranted, node_, id, transport::kNoNode,
+            static_cast<std::int64_t>(leases_.grant_released()));
+      ++monitor_.counters().satisfied_local;
+      trace(obs::EventKind::kAccept, node_, id, node_);
+      const transport::Duration took = tx_.now() - started_at;
+      monitor_.op_finished(kind, took);
+      if (adaptive_ != nullptr) {
+        adaptive_->observe_match(took, terms->ttl.value_or(0));
+      }
+      if (cb) cb(ReadResult{std::move(*t), node_});
+      return true;
+    }
+  }
+
+  auto l = leases_.grant(*terms);
   trace(obs::EventKind::kLeaseGranted, node_, id, transport::kNoNode,
         static_cast<std::int64_t>(l->id()));
 
@@ -61,11 +90,11 @@ bool Instance::start_op(OpKind kind, const Pattern& p, ReadCallback cb,
   op.pattern = p;
   op.lease = l;
   op.cb = std::move(cb);
-  op.started_at = tx_.now();
+  op.started_at = started_at;
 
   l->on_end([this, id](lease::LeaseState st) { op_lease_ended(id, st); });
 
-  op_try_local(op);
+  if (is_blocking(kind)) op_try_local(op);
   // A synchronous local hit finishes the op and erases it from ops_,
   // invalidating `op` — re-find before touching it again.
   LogicalOp* live = find_op(id);
@@ -123,49 +152,21 @@ bool Instance::op_at(OpKind kind, const space::SpaceHandle& dest,
 }
 
 void Instance::op_try_local(LogicalOp& op) {
+  // Register a deadline-less waiter; the lease governs its lifetime.
   const std::uint64_t id = op.id;
-  switch (op.kind) {
-    case OpKind::kRdp: {
-      if (auto t = space_.rdp(op.pattern)) {
-        op_finish(id, ReadResult{*t, node_});
-      }
-      return;
+  auto on_match = [this, id](std::optional<Tuple> t) {
+    if (!t) return;
+    if (LogicalOp* o = find_op(id)) {
+      o->local_waiter = space::kNoWaiter;
+      op_finish(id, ReadResult{*t, node_});
     }
-    case OpKind::kInp: {
-      if (auto t = space_.inp(op.pattern)) {
-        op_finish(id, ReadResult{*t, node_});
-      }
-      return;
-    }
-    case OpKind::kRd: {
-      // Register a deadline-less waiter; the lease governs its lifetime.
-      auto wid = space_.rd(op.pattern, transport::kNever,
-                           [this, id](std::optional<Tuple> t) {
-                             if (!t) return;
-                             if (LogicalOp* o = find_op(id)) {
-                               o->local_waiter = space::kNoWaiter;
-                               op_finish(id, ReadResult{*t, node_});
-                             }
-                           });
-      if (LogicalOp* o = find_op(id); o != nullptr && !o->done) {
-        o->local_waiter = wid;
-      }
-      return;
-    }
-    case OpKind::kIn: {
-      auto wid = space_.in(op.pattern, transport::kNever,
-                           [this, id](std::optional<Tuple> t) {
-                             if (!t) return;
-                             if (LogicalOp* o = find_op(id)) {
-                               o->local_waiter = space::kNoWaiter;
-                               op_finish(id, ReadResult{*t, node_});
-                             }
-                           });
-      if (LogicalOp* o = find_op(id); o != nullptr && !o->done) {
-        o->local_waiter = wid;
-      }
-      return;
-    }
+  };
+  const space::WaiterId wid =
+      op.kind == OpKind::kIn
+          ? space_.in(op.pattern, transport::kNever, on_match)
+          : space_.rd(op.pattern, transport::kNever, on_match);
+  if (LogicalOp* o = find_op(id); o != nullptr && !o->done) {
+    o->local_waiter = wid;
   }
 }
 
@@ -399,7 +400,7 @@ void Instance::op_finish(std::uint64_t op_id,
     ++c.lease_expired;
     trace(obs::EventKind::kOpExpired, node_, op_id);
   }
-  monitor_.op_finished(to_string(op.kind), tx_.now() - op.started_at);
+  monitor_.op_finished(op.kind, tx_.now() - op.started_at);
 
   // §5.4/§5.5: feed the adaptive policy, if installed.
   if (adaptive_ != nullptr) {

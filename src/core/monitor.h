@@ -8,11 +8,16 @@
 // goes into log-bucketed quantile sketches (aggregate + per-op-kind):
 // bounded memory on the hot path, and p50/p90/p99 queries with a fixed
 // relative-error bound instead of the old coarse fixed-bucket interpolation.
+// The per-kind sketch is looked up in the registry once, on the first op of
+// that kind, and kept by pointer: a finished op pays no registry lock,
+// label allocation or map walk.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 
+#include "core/config.h"
 #include "obs/metrics.h"
 #include "transport/types.h"
 
@@ -72,15 +77,21 @@ class Monitor {
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
 
-  /// `kind` labels the per-op-kind sketch ("rd", "inp", ...).
-  void op_finished(const char* kind, transport::Duration latency) {
+  /// Records into the aggregate sketch and into `kind`'s sketch
+  /// (op.latency_us{op=rd|rdp|in|inp}), which is registered on first use.
+  void op_finished(OpKind kind, transport::Duration latency) {
 #if defined(TIAMAT_OBS_OFF)
     (void)kind;  // overhead-gate baseline: latency sketches compiled out
     (void)latency;
 #else
     const auto v = static_cast<double>(latency);
     op_latency_.observe(v);
-    registry_.sketch("op.latency_us", {{"op", kind}}).observe(v);
+    obs::QuantileSketch*& of_kind =
+        op_kind_latency_[static_cast<std::size_t>(kind)];
+    if (of_kind == nullptr) {
+      of_kind = &registry_.sketch("op.latency_us", {{"op", to_string(kind)}});
+    }
+    of_kind->observe(v);
 #endif
   }
 
@@ -100,6 +111,7 @@ class Monitor {
   obs::Registry registry_;
   Counters counters_;
   obs::QuantileSketch& op_latency_;
+  std::array<obs::QuantileSketch*, 4> op_kind_latency_{};  ///< by OpKind
 };
 
 }  // namespace tiamat::core

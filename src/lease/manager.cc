@@ -88,8 +88,7 @@ LeaseManager::~LeaseManager() {
   }
 }
 
-std::shared_ptr<Lease> LeaseManager::negotiate(
-    const LeaseRequester& requester) {
+std::optional<LeaseTerms> LeaseManager::agree(const LeaseRequester& requester) {
   ResourceUsage usage;
   if (usage_probe_) usage = usage_probe_();
   usage.active_leases = active_.size();
@@ -99,19 +98,22 @@ std::shared_ptr<Lease> LeaseManager::negotiate(
   if (!offer) {
     ++stats_.refused_by_policy;
     if (metrics_.refused_by_policy) ++*metrics_.refused_by_policy;
-    return nullptr;
+    return std::nullopt;
   }
   if (!requester.accept(*offer)) {
     ++stats_.refused_by_requester;
     if (metrics_.refused_by_requester) ++*metrics_.refused_by_requester;
-    return nullptr;
+    return std::nullopt;
   }
+  return offer;
+}
 
+std::shared_ptr<Lease> LeaseManager::grant(const LeaseTerms& terms) {
   LeaseId id = next_id_++;
-  auto lease = std::make_shared<Lease>(id, *offer, queue_.now());
+  auto lease = std::make_shared<Lease>(id, terms, queue_.now());
   Active entry;
   entry.lease = lease;
-  if (offer->ttl) {
+  if (terms.ttl) {
     entry.expiry_event = queue_.schedule_at(
         lease->expiry_time(), [this, id] {
           auto it = active_.find(id);
@@ -131,8 +133,24 @@ std::shared_ptr<Lease> LeaseManager::negotiate(
   ++stats_.granted;
   if (metrics_.granted) ++*metrics_.granted;
   if (metrics_.active) metrics_.active->set(static_cast<double>(active_.size()));
-  TIAMAT_AUDIT_CHECK(audit_check("negotiate"));
+  TIAMAT_AUDIT_CHECK(audit_check("grant"));
   return lease;
+}
+
+LeaseId LeaseManager::grant_released() {
+  const LeaseId id = next_id_++;
+  ++stats_.granted;
+  ++stats_.released;
+  if (metrics_.granted) ++*metrics_.granted;
+  if (metrics_.released) ++*metrics_.released;
+  TIAMAT_AUDIT_CHECK(audit_check("grant_released"));
+  return id;
+}
+
+std::shared_ptr<Lease> LeaseManager::negotiate(
+    const LeaseRequester& requester) {
+  auto terms = agree(requester);
+  return terms ? grant(*terms) : nullptr;
 }
 
 void LeaseManager::finish_bookkeeping(LeaseId id, LeaseState state) {

@@ -1,13 +1,18 @@
 // The lease manager: first point of contact for every operation (§3.1,
-// Figure 2). Performs the two-step negotiation with a LeaseRequester,
-// schedules TTL expiry on the simulator clock, tracks active leases, owns
-// named resource pools, and can revoke leases as a last resort.
+// Figure 2). Agrees terms with a LeaseRequester (the two-step negotiation),
+// then grants them: an active lease with its TTL expiry scheduled on the
+// node's timer strand, tracked until it ends. A lease that ends inside the
+// call that agreed it (a non-blocking op the local space satisfies) is
+// granted for accounting only: an id and the grant/release counts, with no
+// Lease object, timer or table entry. Also owns named resource pools and
+// can revoke leases as a last resort.
 
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "audit/audit.h"
@@ -42,10 +47,22 @@ class LeaseManager {
   LeaseManager& operator=(const LeaseManager&) = delete;
 
   /// Two-step negotiation (§3.1.1): the requester's desired terms go to the
-  /// policy; the policy's offer goes back to the requester; acceptance
-  /// produces an active lease with TTL expiry scheduled. Returns nullptr if
-  /// either side refuses — in which case no further work may be performed
-  /// on the operation.
+  /// policy, which sees the instance's live usage; the policy's offer goes
+  /// back to the requester. Returns the accepted terms, or nullopt (counted
+  /// as a policy or requester refusal) — in which case no further work may
+  /// be performed on the operation. Creates nothing and schedules nothing.
+  std::optional<LeaseTerms> agree(const LeaseRequester& requester);
+
+  /// Turns agreed terms into an active lease: the next id, TTL expiry
+  /// scheduled, tracked until it ends.
+  std::shared_ptr<Lease> grant(const LeaseTerms& terms);
+
+  /// Accounting-only grant for a lease that ends inside the call that
+  /// agreed it: takes the next id and counts one grant and one release, but
+  /// builds no Lease, timer or table entry, so active() does not move.
+  LeaseId grant_released();
+
+  /// grant(agree(requester)): nullptr if either side refuses.
   std::shared_ptr<Lease> negotiate(const LeaseRequester& requester);
 
   /// Renewal: extends an active lease's TTL by `extra` (re-negotiated

@@ -127,17 +127,17 @@ std::optional<TupleId> LocalTupleSpace::select_match(
   return ids[rng_.index(ids.size())];
 }
 
-std::optional<Tuple> LocalTupleSpace::rdp(const Pattern& p) {
+std::optional<Tuple> LocalTupleSpace::rdp(const tuples::CompiledPattern& p) {
   ++stats_.reads;
-  auto id = select_match(tuples::CompiledPattern(p));
+  auto id = select_match(p);
   if (!id) return std::nullopt;
   ++stats_.hits;
   return *index_.get(*id);
 }
 
-std::optional<Tuple> LocalTupleSpace::inp(const Pattern& p) {
+std::optional<Tuple> LocalTupleSpace::inp(const tuples::CompiledPattern& p) {
   ++stats_.takes;
-  auto id = select_match(tuples::CompiledPattern(p));
+  auto id = select_match(p);
   if (!id) return std::nullopt;
   ++stats_.hits;
   drop_tuple_timer(*id);

@@ -79,11 +79,18 @@ class LocalTupleSpace {
   TupleId out(Tuple t, transport::Time expiry = transport::kNever);
 
   /// Non-blocking read: copy of a matching tuple, chosen nondeterministically
-  /// among all matches, or nullopt.
-  std::optional<Tuple> rdp(const Pattern& p);
+  /// among all matches, or nullopt. Takes the pattern compiled, so a caller
+  /// that already holds one (the instance's local-hit path) compiles once.
+  std::optional<Tuple> rdp(const tuples::CompiledPattern& p);
+  std::optional<Tuple> rdp(const Pattern& p) {
+    return rdp(tuples::CompiledPattern(p));
+  }
 
   /// Non-blocking take: as rdp but removes the tuple.
-  std::optional<Tuple> inp(const Pattern& p);
+  std::optional<Tuple> inp(const tuples::CompiledPattern& p);
+  std::optional<Tuple> inp(const Pattern& p) {
+    return inp(tuples::CompiledPattern(p));
+  }
 
   /// Blocking read: calls back immediately on a present match, otherwise
   /// registers a waiter until `deadline` (the lease expiry). Returns a

@@ -169,5 +169,28 @@ TEST(AdaptiveE2E, InstanceShrinksLeasesInFastEnvironment) {
       << "instant matches must shrink granted TTLs";
 }
 
+TEST(AdaptiveE2E, LocalHitsCountAsInstantMatches) {
+  World w;
+  Config cfg;
+  cfg.name = "adaptive";
+  auto policy = std::make_unique<AdaptiveLeasePolicy>(small_caps(),
+                                                      fast_tuning());
+  auto* policy_ptr = policy.get();
+  Instance inst(w.tx, cfg, std::move(policy));
+
+  const auto ttl_before = policy_ptr->current_ttl();
+  for (int i = 0; i < 20; ++i) inst.out(Tuple{"here", i});
+  int hits = 0;
+  for (int i = 0; i < 20; ++i) {
+    inst.inp(Pattern{"here", any_int()}, [&](auto r) {
+      if (r && r->source == inst.node()) ++hits;
+    });
+  }
+  EXPECT_EQ(hits, 20);
+  EXPECT_GE(policy_ptr->adaptation_rounds(), 1u);
+  EXPECT_LT(policy_ptr->current_ttl(), ttl_before)
+      << "local hits are instant matches and must shrink granted TTLs";
+}
+
 }  // namespace
 }  // namespace tiamat::core

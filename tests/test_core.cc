@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/instance.h"
 #include "core/routing.h"
@@ -213,17 +214,122 @@ TEST_F(CoreFixture, LosersTupleRemainsReadable) {
 
 // ---------------- Leasing of operations ----------------
 
+/// Every work counter of the local space and its index, for "did this
+/// search the space?" comparisons.
+std::vector<std::uint64_t> space_work(const Instance& i) {
+  const space::SpaceStats& s = i.local_space().stats();
+  const tuples::MatchStats& m = i.local_space().index_stats();
+  return {s.outs,          s.reads,          s.takes,        s.hits,
+          m.bucket_probes, m.scan_fallbacks, m.candidates,   m.rejected};
+}
+
 TEST_F(CoreFixture, LeaseRefusalFailsOperationBeforeAnyWork) {
   Config cfg;
   cfg.name = "denied";
   auto a = std::make_unique<Instance>(w.tx, cfg,
                                       std::make_unique<lease::DenyAllPolicy>());
+  // A match is present, so any op that searched would find it.
+  a->local_space().out(Tuple{"x"});
+  const auto work_before = space_work(*a);
   bool cb_fired = false;
-  EXPECT_FALSE(a->rd(Pattern{"x"}, [&](auto) { cb_fired = true; }));
+  auto cb = [&](auto) { cb_fired = true; };
+  EXPECT_FALSE(a->rd(Pattern{"x"}, cb));
+  EXPECT_FALSE(a->rdp(Pattern{"x"}, cb));
+  EXPECT_FALSE(a->in(Pattern{"x"}, cb));
+  EXPECT_FALSE(a->inp(Pattern{"x"}, cb));
   EXPECT_FALSE(cb_fired);
-  EXPECT_EQ(a->monitor().counters().ops_lease_refused, 1u);
+  EXPECT_EQ(a->monitor().counters().ops_lease_refused, 4u);
   EXPECT_EQ(a->out(Tuple{"x"}), Status::kLeaseRefused);
   EXPECT_EQ(a->endpoint().stats().sent, 0u);  // truly no work
+  // Figure 2's "no further work" includes the local search.
+  EXPECT_EQ(space_work(*a), work_before);
+  EXPECT_EQ(a->local_space().count_matches(Pattern{"x"}), 1u);
+  EXPECT_EQ(a->open_ops(), 0u);
+  EXPECT_EQ(a->leases().active(), 0u);
+}
+
+// ---------------- Local non-blocking hits ----------------
+
+TEST_F(CoreFixture, LocalInpHitIsLeasedWithoutTimerOrOpRecord) {
+  auto a = make("a");
+  a->out(Tuple{"x", 1});
+  a->out(Tuple{"x", 2});
+  // A blocking rd hit takes a full lease: its id is the baseline.
+  ASSERT_TRUE(run_rd(*a, Pattern{"x", 1}).has_value());
+  const auto rd_tail = a->flight_recorder().tail();
+  ASSERT_GE(rd_tail.size(), 2u);
+  const obs::TraceEvent& rd_grant = rd_tail[rd_tail.size() - 2];
+  ASSERT_EQ(rd_grant.kind, obs::EventKind::kLeaseGranted);
+
+  obs::Counter& granted = a->metrics().counter("lease.granted");
+  obs::Counter& released = a->metrics().counter("lease.released");
+  const std::uint64_t granted_before = granted.value();
+  const std::uint64_t released_before = released.value();
+  const std::size_t active = a->leases().active();
+  const std::size_t open = a->open_ops();
+  const std::size_t timers = w.queue.pending();
+
+  std::optional<ReadResult> got;
+  bool fired = false;
+  ASSERT_TRUE(a->inp(Pattern{"x", 2}, [&](auto r) {
+    fired = true;
+    got = std::move(r);
+  }));
+  ASSERT_TRUE(fired) << "a local hit calls back before inp returns";
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tuple, (Tuple{"x", 2}));
+  EXPECT_EQ(got->source, a->node());
+  EXPECT_EQ(a->local_space().count_matches(Pattern{"x", 2}), 0u);
+
+  EXPECT_EQ(granted.value(), granted_before + 1);
+  EXPECT_EQ(released.value(), released_before + 1);
+  EXPECT_EQ(a->leases().active(), active);
+  EXPECT_EQ(a->open_ops(), open);
+  EXPECT_EQ(w.queue.pending(), timers);
+  EXPECT_EQ(a->monitor().counters().satisfied_local, 2u);
+
+  const auto tail = a->flight_recorder().tail();
+  ASSERT_GE(tail.size(), 3u);
+  const obs::TraceEvent& issued = tail[tail.size() - 3];
+  const obs::TraceEvent& grant = tail[tail.size() - 2];
+  const obs::TraceEvent& accept = tail[tail.size() - 1];
+  EXPECT_EQ(issued.kind, obs::EventKind::kOpIssued);
+  EXPECT_EQ(issued.detail, static_cast<std::int64_t>(OpKind::kInp));
+  EXPECT_EQ(grant.kind, obs::EventKind::kLeaseGranted);
+  EXPECT_EQ(grant.detail, rd_grant.detail + 1);
+  EXPECT_EQ(accept.kind, obs::EventKind::kAccept);
+  EXPECT_EQ(accept.peer, a->node());
+  EXPECT_EQ(issued.op_id, grant.op_id);
+  EXPECT_EQ(issued.op_id, accept.op_id);
+}
+
+TEST_F(CoreFixture, LocalRdpHitLeavesTupleInPlace) {
+  auto a = make("a");
+  a->out(Tuple{"keep", 7});
+  std::optional<ReadResult> got;
+  ASSERT_TRUE(a->rdp(Pattern{"keep", any_int()},
+                     [&](auto r) { got = std::move(r); }));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tuple, (Tuple{"keep", 7}));
+  EXPECT_EQ(got->source, a->node());
+  EXPECT_EQ(a->local_space().count_matches(Pattern{"keep", any_int()}), 1u);
+  EXPECT_EQ(a->open_ops(), 0u);
+}
+
+TEST_F(CoreFixture, LocalMissSearchesOnceThenResolvesAtPeer) {
+  auto a = make("a");
+  auto b = make("b");
+  a->out(Tuple{"near", 3});  // same arity, so the keyed probe runs
+  b->out(Tuple{"far", 3});
+  const std::uint64_t probes = a->local_space().index_stats().bucket_probes;
+  const std::uint64_t takes = a->local_space().stats().takes;
+  auto r = run_inp(*a, Pattern{"far", any_int()});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->source, b->node());
+  EXPECT_EQ(a->local_space().index_stats().bucket_probes, probes + 1);
+  EXPECT_EQ(a->local_space().stats().takes, takes + 1);
+  EXPECT_EQ(a->monitor().counters().satisfied_remote, 1u);
+  EXPECT_EQ(a->monitor().counters().satisfied_local, 0u);
 }
 
 TEST_F(CoreFixture, BlockedOpReturnsNothingWhenLeaseExpires) {

@@ -12,6 +12,7 @@
 #include "lease/manager.h"
 #include "lease/policy.h"
 #include "lease/requester.h"
+#include "obs/metrics.h"
 #include "sim/event_queue.h"
 
 namespace tiamat::lease {
@@ -312,6 +313,82 @@ TEST(Manager, GrantStatsCount) {
   m.negotiate(FlexibleRequester{});
   m.negotiate(FlexibleRequester{});
   EXPECT_EQ(m.stats().granted, 2u);
+}
+
+TEST(Manager, NegotiateIsGrantOfAgree) {
+  EventQueue q1;
+  EventQueue q2;
+  q1.run_for(milliseconds(5));
+  q2.run_for(milliseconds(5));
+  LeaseManager composed(q1, default_policy());
+  LeaseManager split(q2, default_policy());
+  const FlexibleRequester req{for_duration(seconds(3))};
+  for (int i = 0; i < 3; ++i) {
+    auto a = composed.negotiate(req);
+    auto terms = split.agree(req);
+    ASSERT_TRUE(a != nullptr);
+    ASSERT_TRUE(terms.has_value());
+    EXPECT_EQ(split.active(), static_cast<std::size_t>(i))
+        << "agree alone creates nothing";
+    auto b = split.grant(*terms);
+    ASSERT_TRUE(b != nullptr);
+    EXPECT_EQ(a->id(), b->id());
+    EXPECT_EQ(a->terms().ttl, b->terms().ttl);
+    EXPECT_EQ(a->terms().max_remote_contacts, b->terms().max_remote_contacts);
+    EXPECT_EQ(a->terms().max_bytes, b->terms().max_bytes);
+    EXPECT_EQ(a->expiry_time(), b->expiry_time());
+    EXPECT_TRUE(b->active());
+  }
+  EXPECT_EQ(composed.active(), split.active());
+  EXPECT_EQ(q1.pending(), q2.pending());
+  EXPECT_EQ(composed.stats().granted, split.stats().granted);
+
+  // Refusals count the same way, and agree refuses with nothing created.
+  StrictRequester strict(for_duration(seconds(1000)), 0.9);
+  EXPECT_EQ(composed.negotiate(strict), nullptr);
+  EXPECT_FALSE(split.agree(strict).has_value());
+  EXPECT_EQ(composed.stats().refused_by_requester, 1u);
+  EXPECT_EQ(split.stats().refused_by_requester, 1u);
+  EXPECT_EQ(composed.active(), split.active());
+  q1.run_until_idle();
+  q2.run_until_idle();
+  EXPECT_EQ(composed.stats().expired, 3u);
+  EXPECT_EQ(split.stats().expired, 3u);
+}
+
+TEST(Manager, AccountingOnlyGrantTakesNextIdAndCountsBothEnds) {
+  EventQueue q;
+  LeaseManager m(q, default_policy());
+  obs::Registry reg;
+  m.bind_metrics(reg);
+  auto first = m.negotiate(FlexibleRequester{for_duration(seconds(2))});
+  ASSERT_TRUE(first != nullptr);
+  const std::size_t pending = q.pending();
+
+  ASSERT_TRUE(m.agree(FlexibleRequester{for_duration(seconds(2))}));
+  const LeaseId id = m.grant_released();
+  EXPECT_EQ(id, first->id() + 1);
+  EXPECT_EQ(m.active(), 1u);
+  EXPECT_EQ(q.pending(), pending) << "no expiry timer";
+  EXPECT_EQ(m.stats().granted, 2u);
+  EXPECT_EQ(m.stats().released, 1u);
+  EXPECT_EQ(reg.counter("lease.granted").value(), 2u);
+  EXPECT_EQ(reg.counter("lease.released").value(), 1u);
+  EXPECT_EQ(reg.gauge("lease.active").value(), 1.0);
+#if TIAMAT_AUDIT_ENABLED
+  m.audit_check("test");
+#endif
+
+  // The id stream continues past it; expiry of the real lease is unchanged.
+  auto next = m.negotiate(FlexibleRequester{});
+  ASSERT_TRUE(next != nullptr);
+  EXPECT_EQ(next->id(), id + 1);
+  next->release();
+  q.run_until_idle();
+  EXPECT_EQ(m.active(), 0u);
+  EXPECT_EQ(m.stats().expired, 1u);
+  EXPECT_EQ(m.stats().released, 2u);
+  EXPECT_EQ(m.stats().granted, 3u);
 }
 
 // ---------------- ResourcePool ----------------

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -462,6 +463,39 @@ TEST(TransportDifferential, KeyedProbesAgreeAcrossBackends) {
   EXPECT_EQ(sim_fp.at("k1"), 11);
   EXPECT_EQ(sim_fp.at("ghost"), -1);
   EXPECT_EQ(sim_fp.at("k0.taken"), 10);
+}
+
+// ---------------------------------------------------------------------------
+// Teardown off the strand. ~Instance walks strand-confined state (open ops,
+// served requests, pending confirms) to cancel their timers, so it must
+// quiesce its node before the walk: on the loopback a delivery or timer of
+// that node may be running on a worker meanwhile. Under the tsan preset a
+// walk that comes first is reported as a data race.
+
+TEST(TransportTeardown, InstanceDestroyedOffStrandQuiescesFirst) {
+  transport::LoopbackOptions opts;
+  opts.workers = 2;
+  transport::LoopbackTransport t(opts);
+  core::Config cfg;
+  cfg.name = "owner";
+  auto owner = std::make_unique<core::Instance>(t, cfg);
+  core::Instance* inst = owner.get();
+
+  // Relaxed on purpose: the only happens-before edge from the closure to
+  // the destructor must be the one ~Instance makes itself, or TSan could
+  // not see a walk that skips it.
+  std::atomic<bool> opened{false};
+  std::atomic<bool> finished{false};
+  t.post(inst->node(), [inst, &opened, &finished] {
+    inst->in(tuples::Pattern{"never"}, [](std::optional<core::ReadResult>) {});
+    opened.store(true, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    finished.store(true, std::memory_order_relaxed);
+  });
+  while (!opened.load(std::memory_order_relaxed)) std::this_thread::yield();
+  owner.reset();  // the strand is still busy inside the closure
+  EXPECT_TRUE(finished.load(std::memory_order_relaxed))
+      << "~Instance returned while its node's strand was still running";
 }
 
 // ---------------------------------------------------------------------------
