@@ -4,7 +4,9 @@
 // therefore do NOT scale with space size, while unkeyed lookups fall back
 // to an O(arity-shard) scan. `--json` exports the engine's probe/scan/
 // rejection accounting per scenario so the ratio stays diffable PR-over-PR
-// (see BENCH_match.json at the repo root and EXPERIMENTS.md).
+// (see BENCH_match.json at the repo root and EXPERIMENTS.md). Each scenario
+// binds its index to a registry once setup is done, exactly as an
+// Instance's bound index counts, so the timed loop pays that accounting.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +14,7 @@
 #include <string>
 
 #include "bench/bench_main.h"
+#include "obs/metrics.h"
 #include "tuple/index.h"
 #include "tuple/matcher.h"
 #include "tuple/pattern.h"
@@ -24,7 +27,6 @@ using namespace tiamat;  // NOLINT
 using tuples::any_int;
 using tuples::any_string;
 using tuples::CompiledPattern;
-using tuples::MatchStats;
 using tuples::Pattern;
 using tuples::Tuple;
 using tuples::TupleId;
@@ -33,23 +35,31 @@ using tuples::WaiterIndex;
 
 constexpr std::int64_t kKeys = 64;
 
-/// Fold one scenario's engine accounting into the exportable registry.
-/// Counters accumulate across calibration re-runs, so the *ratios*
-/// (candidates per probe vs per scan) are the stable quantities; the
-/// per-lookup gauge records the final run's average directly.
+/// Fold one scenario's engine accounting, counted under `prefix` ("match"
+/// or "waiters") in the registry its index was bound to, into the
+/// exportable registry. Counters accumulate across calibration re-runs, so
+/// the *ratios* (candidates per probe vs per scan) are the stable
+/// quantities; the per-lookup gauge records the final run's average
+/// directly.
 void export_stats(const std::string& scenario, std::int64_t size,
-                  const MatchStats& s) {
+                  obs::Registry& engine, const std::string& prefix) {
+  auto count = [&](const char* what) {
+    return engine.counter(prefix + "." + what).value();
+  };
+  const std::uint64_t probes = count("bucket_probes");
+  const std::uint64_t scans = count("scan_fallbacks");
+  const std::uint64_t candidates = count("candidates");
+  const std::uint64_t rejected = count("rejected");
   obs::Labels l{{"scenario", scenario}, {"size", std::to_string(size)}};
   auto& r = bench::registry();
-  r.counter("engine.bucket_probes", l).add(s.bucket_probes);
-  r.counter("engine.scan_fallbacks", l).add(s.scan_fallbacks);
-  r.counter("engine.candidates", l).add(s.candidates);
-  r.counter("engine.rejected", l).add(s.rejected);
-  const std::uint64_t lookups = s.bucket_probes + s.scan_fallbacks;
+  r.counter("engine.bucket_probes", l).add(probes);
+  r.counter("engine.scan_fallbacks", l).add(scans);
+  r.counter("engine.candidates", l).add(candidates);
+  r.counter("engine.rejected", l).add(rejected);
+  const std::uint64_t lookups = probes + scans;
   if (lookups > 0) {
     r.gauge("engine.candidates_per_lookup", l)
-        .set(static_cast<double>(s.candidates) /
-             static_cast<double>(lookups));
+        .set(static_cast<double>(candidates) / static_cast<double>(lookups));
   }
 }
 
@@ -68,13 +78,14 @@ void BM_KeyedFindFirst(benchmark::State& state) {
   const auto n = state.range(0);
   TupleIndex idx = populated_index(n);
   CompiledPattern p(Pattern{"k17", any_int()});
-  idx.reset_match_stats();
+  obs::Registry engine;
+  idx.bind_metrics(engine);
   for (auto _ : state) {
     auto id = idx.find_first(p);
     benchmark::DoNotOptimize(id);
   }
   state.SetItemsProcessed(state.iterations());
-  export_stats("keyed_find_first", n, idx.match_stats());
+  export_stats("keyed_find_first", n, engine, "match");
 }
 BENCHMARK(BM_KeyedFindFirst)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
@@ -84,13 +95,14 @@ void BM_UnkeyedFindFirst(benchmark::State& state) {
   // Leading wildcard defeats the bucket key: the engine must walk the
   // arity shard. The int field matches only one tuple near the end.
   CompiledPattern p(Pattern{any_string(), n - 1});
-  idx.reset_match_stats();
+  obs::Registry engine;
+  idx.bind_metrics(engine);
   for (auto _ : state) {
     auto id = idx.find_first(p);
     benchmark::DoNotOptimize(id);
   }
   state.SetItemsProcessed(state.iterations());
-  export_stats("unkeyed_find_first", n, idx.match_stats());
+  export_stats("unkeyed_find_first", n, engine, "match");
 }
 BENCHMARK(BM_UnkeyedFindFirst)->Arg(100)->Arg(1000)->Arg(10000);
 
@@ -98,13 +110,14 @@ void BM_KeyedFindMatches(benchmark::State& state) {
   const auto n = state.range(0);
   TupleIndex idx = populated_index(n);
   CompiledPattern p(Pattern{"k17", any_int()});
-  idx.reset_match_stats();
+  obs::Registry engine;
+  idx.bind_metrics(engine);
   for (auto _ : state) {
     auto ids = idx.find_matches(p);
     benchmark::DoNotOptimize(ids);
   }
   state.SetItemsProcessed(state.iterations());
-  export_stats("keyed_find_matches", n, idx.match_stats());
+  export_stats("keyed_find_matches", n, engine, "match");
 }
 BENCHMARK(BM_KeyedFindMatches)->Arg(100)->Arg(1000)->Arg(10000);
 
@@ -112,13 +125,14 @@ void BM_KeyedCountMatches(benchmark::State& state) {
   const auto n = state.range(0);
   TupleIndex idx = populated_index(n);
   CompiledPattern p(Pattern{"k17", any_int()});
-  idx.reset_match_stats();
+  obs::Registry engine;
+  idx.bind_metrics(engine);
   for (auto _ : state) {
     auto c = idx.count_matches(p);
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(state.iterations());
-  export_stats("keyed_count_matches", n, idx.match_stats());
+  export_stats("keyed_count_matches", n, engine, "match");
 }
 BENCHMARK(BM_KeyedCountMatches)->Arg(100)->Arg(1000)->Arg(10000);
 
@@ -176,13 +190,14 @@ void BM_WaiterOfferKeyed(benchmark::State& state) {
                 0);
   }
   Tuple t{"k17", std::int64_t{7}};
-  waiters.reset_match_stats();
+  obs::Registry engine;
+  waiters.bind_metrics(engine);
   for (auto _ : state) {
     auto c = waiters.candidates(t);
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(state.iterations());
-  export_stats("waiters_keyed_offer", n, waiters.match_stats());
+  export_stats("waiters_keyed_offer", n, engine, "waiters");
 }
 BENCHMARK(BM_WaiterOfferKeyed)->Arg(100)->Arg(1000)->Arg(10000);
 
@@ -196,13 +211,14 @@ void BM_WaiterOfferUnkeyed(benchmark::State& state) {
                 CompiledPattern(Pattern{any_string(), i}), 0);
   }
   Tuple t{"k17", std::int64_t{7}};
-  waiters.reset_match_stats();
+  obs::Registry engine;
+  waiters.bind_metrics(engine);
   for (auto _ : state) {
     auto c = waiters.candidates(t);
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(state.iterations());
-  export_stats("waiters_unkeyed_offer", n, waiters.match_stats());
+  export_stats("waiters_unkeyed_offer", n, engine, "waiters");
 }
 BENCHMARK(BM_WaiterOfferUnkeyed)->Arg(100)->Arg(1000);
 

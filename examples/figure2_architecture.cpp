@@ -53,7 +53,7 @@ int main() {
           "the local tuple space was never consulted");
     check(starved.endpoint().stats().sent == msgs_before,
           "the communications manager sent nothing");
-    check(starved.leases().stats().refused_by_policy >= 1,
+    check(starved.metrics().counter("lease.refused_by_policy").value() >= 1,
           "the refusal is accounted by the lease manager");
   }
 
@@ -81,7 +81,8 @@ int main() {
     check(healthy.endpoint().stats().sent >= 1,
           "the comms manager propagated the miss to visible instances");
     check(got, "the operation was satisfied remotely");
-    check(healthy.leases().stats().granted >= 1, "the grant is accounted");
+    check(healthy.metrics().counter("lease.granted").value() >= 1,
+          "the grant is accounted");
   }
 
   // --- Path 3: the lease requester can refuse the offer ------------------
@@ -97,7 +98,7 @@ int main() {
     bool granted = inst.rd(tuples::Pattern{"x"}, [](auto) {}, demanding);
     std::printf("(3) the lease requester refuses the instance's offer:\n");
     check(!granted, "operation fails when the requester rejects the offer");
-    check(inst.leases().stats().refused_by_requester == 1,
+    check(inst.metrics().counter("lease.refused_by_requester").value() == 1,
           "accounted as refused-by-requester");
   }
 

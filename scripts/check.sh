@@ -2,8 +2,9 @@
 # Full local gate: lint, then build + test the release tree (the tier-1
 # configuration), the asan/ubsan tree, the invariant-audit tree, the
 # transport suites under ThreadSanitizer, and the instrumentation-overhead
-# gate (release vs TIAMAT_OBS_OFF); then the bench smokes and a bounded
-# chaos-fuzz pass (scripts/fuzz_smoke.sh).
+# gate (release vs TIAMAT_OBS_OFF); then the bench smokes, a bounded
+# chaos-fuzz pass (scripts/fuzz_smoke.sh) and the perfbench self-tests and
+# smoke runs.
 # Usage: scripts/check.sh [--release-only]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -130,5 +131,25 @@ if [[ "${1:-}" != "--release-only" ]]; then
   audit_fuzz="build-audit/src/apps/tiamat-fuzz"
 fi
 scripts/fuzz_smoke.sh build/src/apps/tiamat-fuzz ${audit_fuzz}
+
+# Repository benchmark (perfbench/, BENCHMARK.json): its own gtests, then a
+# 2 s smoke of both workloads, untraced and traced — the stage the CI
+# perfbench job runs. perfbench reads the instances' lease.*, match.* and
+# waiters.* registry counters, so a change to that accounting fails here.
+echo "== perfbench: self-tests =="
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench --target perfbench_tests -j "${jobs}"
+build-perfbench/perfbench_tests
+for workload in local_pair web_request; do
+  for trace in 0 1; do
+    echo "== perfbench: ${workload} --trace ${trace} smoke =="
+    python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 2 \
+      --trace "${trace}" | tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+print(json.dumps(r))
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+  done
+done
 
 echo "All checks passed."

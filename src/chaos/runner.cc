@@ -28,7 +28,7 @@ namespace {
 
 // Exactly-once is only claimable while both ends of a destructive take stay
 // connected through the confirm exchange: the originator delivers on the
-// first response, then retries Confirm 6 × response_timeout (≈360ms) while
+// first response, then retries Confirm 6 × kResponseTimeout (≈360ms) while
 // the server parks the tuple for tentative_hold (750ms) before auto-
 // releasing it. A partition, loss burst, offline window or crash that
 // overlaps that exchange makes redelivery protocol-legal, so deliveries in

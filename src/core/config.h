@@ -47,19 +47,9 @@ struct Config {
   /// How long a multicast probe collects replies.
   transport::Duration probe_window = transport::milliseconds(25);
 
-  /// How long to wait for a responder's first reply to an OpRequest before
-  /// declaring it unresponsive and dropping it from the responder list.
-  transport::Duration response_timeout = transport::milliseconds(60);
-
   /// How long a serving instance parks a tentatively-removed tuple waiting
   /// for Confirm/Release before auto-releasing it (covers originator loss).
   transport::Duration tentative_hold = transport::milliseconds(750);
-
-  /// Re-probe period for blocking ops when propagate_to_late_arrivals.
-  transport::Duration late_arrival_poll = transport::milliseconds(250);
-
-  /// Retry period for store-and-forward routing (UnavailablePolicy::kRoute).
-  transport::Duration route_retry = transport::milliseconds(500);
 
   /// Lease caps handed to the default policy (ignored if a policy is
   /// injected at construction).

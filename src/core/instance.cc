@@ -42,6 +42,9 @@ const char* to_string(Status s) {
 }
 
 namespace {
+/// Retry period for store-and-forward routing (UnavailablePolicy::kRoute).
+constexpr transport::Duration kRouteRetry = transport::milliseconds(500);
+
 std::unique_ptr<lease::LeasePolicy> make_policy(
     std::unique_ptr<lease::LeasePolicy> injected, const Config& cfg) {
   if (injected) return injected;
@@ -66,7 +69,7 @@ Instance::Instance(transport::Transport& tx, Config cfg,
       cache_(cfg_.cache_ordering),
       discovery_(endpoint_, timers_, cache_),
       correlator_(timers_),
-      router_(timers_, cfg_.route_retry,
+      router_(timers_, kRouteRetry,
               [this](transport::NodeId dest, const Tuple& t, std::uint64_t id,
                      transport::Duration ttl) { send_remote_out(dest, t, id, ttl); }) {
   leases_.set_usage_probe([this] {
@@ -78,16 +81,18 @@ Instance::Instance(transport::Transport& tx, Config cfg,
   // If the injected policy is the §5 adaptive one, feed it op outcomes.
   adaptive_ = dynamic_cast<AdaptiveLeasePolicy*>(&leases_.policy());
   // One registry (the Monitor's) aggregates every subsystem's telemetry.
+  // Its counters are the only record, so everything is bound before the
+  // node joins the discovery group.
   leases_.bind_metrics(monitor_.registry());
   space_.bind_metrics(monitor_.registry());
   cache_.bind_metrics(monitor_.registry());
   correlator_.bind_metrics(monitor_.registry());
-  discovery_.enable_responder();
   // Endpoint drop paths surface in the metric snapshot and the trace.
-  endpoint_.publish_stats(monitor_.registry());
+  endpoint_.bind_metrics(monitor_.registry());
   endpoint_.set_decode_failure_hook([this](transport::NodeId from) {
     trace(obs::EventKind::kDecodeFailure, node_, 0, from);
   });
+  discovery_.enable_responder();
   install_handlers();
   // Publish this space's handle tuple (§2.4). It carries no lease: the
   // handle lives exactly as long as the instance.
@@ -386,7 +391,7 @@ Status Instance::eval_at(const space::SpaceHandle& dest,
           done(!r.headers.empty() && r.hbool(0));
           return false;
         },
-        tx_.now() + cfg_.response_timeout * 4,
+        tx_.now() + kResponseTimeout * 4,
         [done] { done(false); });
   }
   endpoint_.send(dest.node, m);

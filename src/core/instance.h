@@ -295,8 +295,6 @@ class Instance {
   void serve_release(transport::NodeId from, const Message& m);
   void serve_remote_out(transport::NodeId from, const Message& m);
   void serve_remote_eval(transport::NodeId from, const Message& m);
-  void serving_deliver(std::uint64_t key, std::optional<Tuple> t,
-                       tuples::TupleId tentative_id);
   void serving_drop(std::uint64_t key, bool release_tentative);
   /// Serving table key: origin node + their op id (op ids are per-instance).
   static std::uint64_t serving_key(transport::NodeId origin, std::uint64_t op_id);
@@ -355,6 +353,13 @@ class Instance {
 
   std::map<std::uint64_t, LogicalOp> ops_;
   std::map<std::uint64_t, Serving> serving_;
+
+  /// How long to wait for a responder's first reply to an OpRequest before
+  /// declaring it unresponsive and dropping it from the responder list; also
+  /// the Confirm retransmission period, and a quarter of a remote eval's
+  /// acceptance deadline.
+  static constexpr transport::Duration kResponseTimeout =
+      transport::milliseconds(60);
 
   /// Confirm messages are retransmitted until acknowledged: a lost Confirm
   /// would otherwise make the serving side put an already-delivered tuple

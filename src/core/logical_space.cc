@@ -32,6 +32,9 @@ namespace tiamat::core {
 namespace {
 constexpr std::int64_t kNoDeadline = -1;
 
+/// Re-probe period for blocking ops when propagate_to_late_arrivals.
+constexpr transport::Duration kLateArrivalPoll = transport::milliseconds(250);
+
 std::int64_t encode_deadline(transport::Time t) {
   return t == transport::kNever ? kNoDeadline : static_cast<std::int64_t>(t);
 }
@@ -116,11 +119,12 @@ bool Instance::start_op(OpKind kind, const Pattern& p, ReadCallback cb,
 bool Instance::op_at(OpKind kind, const space::SpaceHandle& dest,
                      const Pattern& p, ReadCallback cb,
                      const lease::LeaseRequester& requester) {
-  ++monitor_.counters().ops_started;
   if (dest.node == node_) {
-    // Directed at ourselves: equivalent to a purely local operation.
+    // Directed at ourselves: equivalent to a purely local operation, which
+    // start_op counts.
     return start_op(kind, p, std::move(cb), requester);
   }
+  ++monitor_.counters().ops_started;
   const std::uint64_t id = correlator_.next_op_id();
   trace(obs::EventKind::kOpIssued, node_, id, dest.node,
         static_cast<std::int64_t>(kind));
@@ -222,7 +226,7 @@ void Instance::op_contact(LogicalOp& op, transport::NodeId target) {
 
   const std::uint64_t id = op.id;
   op.ack_timers[target] = timers_.schedule_after(
-      cfg_.response_timeout,
+      kResponseTimeout,
       [this, id, target] { op_ack_timeout(id, target); });
 }
 
@@ -253,7 +257,7 @@ void Instance::op_schedule_repoll(LogicalOp& op) {
   if (op.repoll_timer != transport::kInvalidEvent) return;
   const std::uint64_t id = op.id;
   op.repoll_timer =
-      timers_.schedule_after(cfg_.late_arrival_poll, [this, id] {
+      timers_.schedule_after(kLateArrivalPoll, [this, id] {
         LogicalOp* o = find_op(id);
         if (o == nullptr || o->done) return;
         o->repoll_timer = transport::kInvalidEvent;
@@ -442,7 +446,7 @@ void Instance::send_confirm(std::uint64_t op_id) {
   confirm.origin = node_;
   endpoint_.send(pc.winner, confirm);
   pc.timer = timers_.schedule_after(
-      cfg_.response_timeout, [this, op_id] { send_confirm(op_id); });
+      kResponseTimeout, [this, op_id] { send_confirm(op_id); });
 }
 
 std::uint64_t Instance::serving_key(transport::NodeId origin, std::uint64_t op_id) {

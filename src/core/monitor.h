@@ -1,10 +1,13 @@
 // Run-time-support monitoring (§5.2/§6 extension).
 //
-// The Monitor owns the instance's obs::Registry — the single source of
-// truth for every metric the instance emits. Counters keeps the familiar
-// field-access API (++monitor.counters().x, monitor.counters().x == 1u) but
-// every field is a reference into the registry, so the same numbers appear
-// in JSON snapshots with no second bookkeeping path. Per-operation latency
+// The Monitor owns the instance's obs::Registry — the single record of
+// every count the instance keeps. Counters keeps the familiar field-access
+// API (++monitor.counters().x, monitor.counters().x == 1u) but every field
+// is a reference into the registry, so the same numbers appear in JSON
+// snapshots with no second bookkeeping path. The lease manager, the local
+// space's matching engine and the endpoint count into this registry through
+// their bind_metrics() and keep no copy of their own: read their lease.*,
+// match.*, waiters.* and net.* counters here. Per-operation latency
 // goes into log-bucketed quantile sketches (aggregate + per-op-kind):
 // bounded memory on the hot path, and p50/p90/p99 queries with a fixed
 // relative-error bound instead of the old coarse fixed-bucket interpolation.
@@ -44,10 +47,7 @@ class Monitor {
           remote_outs_abandoned(r.counter("remote_out.abandoned")),
           probes_triggered(r.counter("op.probes")),
           rpc_timeouts(r.counter("rpc.timeouts")),
-          tuples_reinserted(r.counter("serve.reinserted")),
-          // Same instrument LeaseManager::bind_metrics updates — one
-          // source of truth, readable through either API.
-          lease_revocations(r.counter("lease.revoked")) {}
+          tuples_reinserted(r.counter("serve.reinserted")) {}
 
     obs::Counter& ops_started;
     obs::Counter& ops_lease_refused;
@@ -67,7 +67,6 @@ class Monitor {
     obs::Counter& probes_triggered;
     obs::Counter& rpc_timeouts;        ///< responders that never answered
     obs::Counter& tuples_reinserted;   ///< tentative removals put back (§2.2)
-    obs::Counter& lease_revocations;   ///< leases ended by force (§2.5)
   };
 
   Monitor()

@@ -18,6 +18,16 @@ constexpr std::int64_t kNoDeadline = -1;
 transport::Time decode_deadline(std::int64_t v) {
   return v == kNoDeadline ? transport::kNever : static_cast<transport::Time>(v);
 }
+
+/// An OpRequest names one of the four op kinds in header 0 and the
+/// requester's deadline in header 1, and carries a pattern.
+bool well_formed_op_request(const net::Message& m) {
+  if (m.headers.size() < 2 || !m.pattern) return false;
+  if (!m.headers[0].is_int() || !m.headers[1].is_int()) return false;
+  const std::int64_t kind = m.headers[0].as_int();
+  return kind >= static_cast<std::int64_t>(OpKind::kRd) &&
+         kind <= static_cast<std::int64_t>(OpKind::kInp);
+}
 }  // namespace
 
 void Instance::install_handlers() {
@@ -72,7 +82,12 @@ void Instance::install_handlers() {
 }
 
 void Instance::serve_op_request(transport::NodeId from, const Message& m) {
-  if (m.headers.size() < 2 || !m.pattern) return;
+  // Checked before any lease is negotiated: a malformed request must not
+  // hold serving resources, and a wrong-typed header must not throw.
+  if (!well_formed_op_request(m)) {
+    endpoint_.drop_malformed(from);
+    return;
+  }
   const auto kind = static_cast<OpKind>(m.hint(0));
   const transport::Time requester_deadline = decode_deadline(m.hint(1));
   const transport::NodeId origin = m.origin != transport::kNoNode ? m.origin : from;

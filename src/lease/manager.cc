@@ -96,12 +96,10 @@ std::optional<LeaseTerms> LeaseManager::agree(const LeaseRequester& requester) {
 
   auto offer = policy_->offer(requester.desired(), usage, queue_.now());
   if (!offer) {
-    ++stats_.refused_by_policy;
     if (metrics_.refused_by_policy) ++*metrics_.refused_by_policy;
     return std::nullopt;
   }
   if (!requester.accept(*offer)) {
-    ++stats_.refused_by_requester;
     if (metrics_.refused_by_requester) ++*metrics_.refused_by_requester;
     return std::nullopt;
   }
@@ -130,7 +128,6 @@ std::shared_ptr<Lease> LeaseManager::grant(const LeaseTerms& terms) {
     if (state != LeaseState::kExpired) finish_bookkeeping(id, state);
   });
   active_.emplace(id, std::move(entry));
-  ++stats_.granted;
   if (metrics_.granted) ++*metrics_.granted;
   if (metrics_.active) metrics_.active->set(static_cast<double>(active_.size()));
   TIAMAT_AUDIT_CHECK(audit_check("grant"));
@@ -139,8 +136,6 @@ std::shared_ptr<Lease> LeaseManager::grant(const LeaseTerms& terms) {
 
 LeaseId LeaseManager::grant_released() {
   const LeaseId id = next_id_++;
-  ++stats_.granted;
-  ++stats_.released;
   if (metrics_.granted) ++*metrics_.granted;
   if (metrics_.released) ++*metrics_.released;
   TIAMAT_AUDIT_CHECK(audit_check("grant_released"));
@@ -162,15 +157,12 @@ void LeaseManager::finish_bookkeeping(LeaseId id, LeaseState state) {
   active_.erase(it);
   switch (state) {
     case LeaseState::kExpired:
-      ++stats_.expired;
       if (metrics_.expired) ++*metrics_.expired;
       break;
     case LeaseState::kRevoked:
-      ++stats_.revoked;
       if (metrics_.revoked) ++*metrics_.revoked;
       break;
     case LeaseState::kReleased:
-      ++stats_.released;
       if (metrics_.released) ++*metrics_.released;
       break;
     case LeaseState::kActive:

@@ -5,11 +5,12 @@
 // call that agreed it (a non-blocking op the local space satisfies) is
 // granted for accounting only: an id and the grant/release counts, with no
 // Lease object, timer or table entry. Also owns named resource pools and
-// can revoke leases as a last resort.
+// can revoke leases as a last resort. Grant, refusal and end counts live
+// only in the registry given to bind_metrics ("lease.*"); an unbound
+// manager counts nothing.
 
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,15 +28,6 @@ namespace tiamat::lease {
 
 class LeaseManager {
  public:
-  struct Stats {
-    std::uint64_t granted = 0;
-    std::uint64_t refused_by_policy = 0;
-    std::uint64_t refused_by_requester = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t revoked = 0;
-    std::uint64_t released = 0;
-  };
-
   LeaseManager(transport::TimerService& queue, std::unique_ptr<LeasePolicy> policy);
 
   /// Cancels every scheduled expiry event *without* firing lease-end
@@ -87,9 +79,9 @@ class LeaseManager {
   void set_policy(std::unique_ptr<LeasePolicy> policy);
   LeasePolicy& policy() { return *policy_; }
 
-  /// Mirrors grant/refuse/expiry/revocation accounting into `r` under the
-  /// "lease.*" namespace, so the owning instance's snapshot carries lease
-  /// telemetry without a second bookkeeping path.
+  /// Counts grants, refusals, expiries, revocations and releases in `r`
+  /// under "lease.*" (plus the lease.active gauge). These instruments are
+  /// the manager's only record of them.
   void bind_metrics(obs::Registry& r);
 
   /// Named counting pools for instance-managed resources (threads, sockets,
@@ -98,7 +90,6 @@ class LeaseManager {
                      std::size_t default_capacity = 16);
 
   std::size_t active() const { return active_.size(); }
-  const Stats& stats() const { return stats_; }
   transport::Time now() const { return queue_.now(); }
 
 #if TIAMAT_AUDIT_ENABLED
@@ -126,7 +117,6 @@ class LeaseManager {
   // deterministic.
   std::map<LeaseId, Active> active_;
   std::map<std::string, std::unique_ptr<ResourcePool>> pools_;
-  Stats stats_;
 
   struct Metrics {
     obs::Counter* granted = nullptr;

@@ -24,12 +24,14 @@ void Endpoint::set_default_handler(Handler handler) {
   default_handler_ = std::move(handler);
 }
 
-void Endpoint::publish_stats(obs::Registry& registry) {
+void Endpoint::bind_metrics(obs::Registry& registry) {
   decode_failures_ = &registry.counter("net.decode_failures");
   unhandled_ = &registry.counter("net.unhandled");
-  // Catch up on drops recorded before the registry was attached.
-  decode_failures_->add(stats_.decode_failures);
-  unhandled_->add(stats_.unhandled);
+}
+
+void Endpoint::drop_malformed(transport::NodeId from) {
+  if (decode_failures_) ++*decode_failures_;
+  if (decode_failure_hook_) decode_failure_hook_(from);
 }
 
 void Endpoint::send(transport::NodeId to, const Message& m) {
@@ -54,9 +56,7 @@ void Endpoint::deliver(transport::NodeId from,
                        const transport::Payload& bytes) {
   auto m = decode_message(bytes);
   if (!m) {
-    ++stats_.decode_failures;
-    if (decode_failures_) ++*decode_failures_;
-    if (decode_failure_hook_) decode_failure_hook_(from);
+    drop_malformed(from);
     return;
   }
   ++stats_.received;
@@ -65,9 +65,8 @@ void Endpoint::deliver(transport::NodeId from,
     it->second(from, *m);
   } else if (default_handler_) {
     default_handler_(from, *m);
-  } else {
-    ++stats_.unhandled;
-    if (unhandled_) ++*unhandled_;
+  } else if (unhandled_) {
+    ++*unhandled_;
   }
 }
 

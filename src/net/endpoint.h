@@ -5,6 +5,13 @@
 // The endpoint is backend-agnostic: it talks to the abstract
 // transport::Transport, so the same protocol code runs over the
 // deterministic simulator and the multi-threaded loopback backend.
+//
+// Dropped input has one path. A payload that does not decode, or a message
+// its handler finds malformed (drop_malformed), counts in the bound
+// "net.decode_failures" counter and fires the decode-failure hook; a
+// message with no handler counts in "net.unhandled". Those counters are the
+// only record: an unbound endpoint counts no drops, so the owner binds it
+// before joining any group.
 
 #pragma once
 
@@ -26,8 +33,6 @@ class Endpoint {
     std::uint64_t sent = 0;
     std::uint64_t multicast = 0;
     std::uint64_t received = 0;
-    std::uint64_t decode_failures = 0;
-    std::uint64_t unhandled = 0;
   };
 
   Endpoint(transport::Transport& tx, transport::NodeId node);
@@ -52,13 +57,17 @@ class Endpoint {
   void join_group(transport::GroupId group);
   void leave_group(transport::GroupId group);
 
-  /// Mirrors the drop-path stats into registry counters
-  /// ("net.decode_failures" / "net.unhandled"), so silent message loss is
-  /// visible in metric snapshots, not just in the endpoint's own Stats.
-  void publish_stats(obs::Registry& registry);
+  /// Counts the drop paths in `registry` ("net.decode_failures" /
+  /// "net.unhandled"), so silent message loss shows in metric snapshots.
+  void bind_metrics(obs::Registry& registry);
 
-  /// Invoked (with the claimed sender) whenever an arriving payload fails to
-  /// decode; Instance uses it to emit a kDecodeFailure trace event.
+  /// The drop path for a message that decoded but that its handler cannot
+  /// use (a header of the wrong type, an out-of-range enum): counted and
+  /// hooked exactly like a payload that failed to decode.
+  void drop_malformed(transport::NodeId from);
+
+  /// Invoked (with the claimed sender) on every decode failure or
+  /// drop_malformed; Instance uses it to emit a kDecodeFailure trace event.
   void set_decode_failure_hook(std::function<void(transport::NodeId)> hook) {
     decode_failure_hook_ = std::move(hook);
   }
@@ -74,8 +83,8 @@ class Endpoint {
   std::unordered_map<std::uint16_t, Handler> handlers_;
   Handler default_handler_;
   Stats stats_;
-  obs::Counter* decode_failures_ = nullptr;  ///< set by publish_stats
-  obs::Counter* unhandled_ = nullptr;        ///< set by publish_stats
+  obs::Counter* decode_failures_ = nullptr;  ///< set by bind_metrics
+  obs::Counter* unhandled_ = nullptr;        ///< set by bind_metrics
   std::function<void(transport::NodeId)> decode_failure_hook_;
 };
 

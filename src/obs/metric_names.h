@@ -18,8 +18,9 @@
 namespace tiamat::obs::metric_names {
 
 inline constexpr std::string_view kCatalog[] = {
-    // engine accounting (src/tuple, mirrored by MatchMetrics under the
-    // "match." / "waiters." prefixes; bench_match exports "engine.")
+    // engine accounting (src/tuple: counted only by MatchMetrics under the
+    // "match." / "waiters." prefixes of a bound index; bench_match binds
+    // each index and re-exports per scenario under "engine.")
     "engine.bucket_probes",
     "engine.candidates",
     "engine.candidates_per_lookup",
@@ -44,7 +45,8 @@ inline constexpr std::string_view kCatalog[] = {
     "chaos.ops",
     "chaos.skipped",
     "chaos.traps",
-    // lease subsystem (src/lease)
+    // lease subsystem (src/lease: LeaseManager::bind_metrics is the only
+    // record of grants, refusals and lease ends)
     "lease.active",
     "lease.expired",
     "lease.granted",
@@ -54,7 +56,8 @@ inline constexpr std::string_view kCatalog[] = {
     "lease.revoked",
     // network cost (bench export, from sim::Network accounting)
     "net.bytes",
-    // endpoint drop paths (net::Endpoint::publish_stats)
+    // endpoint drop paths (net::Endpoint::bind_metrics: undecodable or
+    // malformed input, then messages with no handler)
     "net.decode_failures",
     "net.deliveries",
     "net.drops",

@@ -119,7 +119,6 @@ void TimeSeriesRecorder::sample_now() {
         ++st.breaches;
         ++breaches_;
         if (st.probe.on_breach) st.probe.on_breach(v, at);
-        if (on_breach_) on_breach_(src.label, st.probe.name, v, at);
       }
     }
   }

@@ -22,8 +22,8 @@
 //
 // Health probes ride the same tick: a probe is a named sampler with a
 // threshold; each sample is recorded as its own series and every breach is
-// counted and reported through the probe's (and the recorder's) breach
-// hook — the oracle surface the chaos harness will assert on.
+// counted and reported through the probe's own breach hook — the oracle
+// surface the chaos harness will assert on.
 
 #pragma once
 
@@ -85,12 +85,6 @@ class TimeSeriesRecorder {
   /// without probes are fine; probes for unknown labels get their own
   /// source entry).
   void add_probe(const std::string& label, Probe p);
-
-  /// Invoked for every breach, after the probe's own on_breach.
-  using BreachHandler = std::function<void(
-      const std::string& source, const std::string& probe, double value,
-      transport::Time at)>;
-  void set_breach_handler(BreachHandler h) { on_breach_ = std::move(h); }
 
   /// Schedules the periodic tick (first sample one interval from now).
   ///
@@ -170,7 +164,6 @@ class TimeSeriesRecorder {
   std::uint64_t samples_ = 0;
   std::uint64_t breaches_ = 0;
   transport::EventId timer_ = transport::kInvalidEvent;
-  BreachHandler on_breach_;
 };
 
 }  // namespace tiamat::obs

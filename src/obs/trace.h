@@ -55,7 +55,7 @@ enum class EventKind : std::uint8_t {
   // Continuous telemetry (obs/series.h).
   kProbeBreach,      ///< health probe crossed its threshold; detail = value
   // Endpoint drop paths (net::Endpoint).
-  kDecodeFailure,    ///< arriving payload failed to decode; peer = sender
+  kDecodeFailure,    ///< undecodable or malformed input; peer = sender
   // Chaos harness (src/chaos): one record per executed fault-schedule
   // entry, so flight-recorder tails show the injected hostility inline
   // with the protocol's causal history. detail = chaos::EventKind.

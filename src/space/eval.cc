@@ -46,7 +46,6 @@ EvalId EvalEngine::submit_fn(std::function<tuples::Tuple()> fn,
                              transport::Duration cost, transport::Time halt_by,
                              transport::Time tuple_expiry) {
   EvalId id = next_id_++;
-  ++stats_.started;
   Running r;
   r.tuple_expiry = tuple_expiry;
   r.job = std::move(fn);

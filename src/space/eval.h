@@ -66,7 +66,6 @@ inline constexpr EvalId kNoEval = 0;
 class EvalEngine {
  public:
   struct Stats {
-    std::uint64_t started = 0;
     std::uint64_t completed = 0;
     std::uint64_t halted = 0;  ///< lease expired mid-computation
   };

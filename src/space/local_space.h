@@ -183,16 +183,10 @@ class LocalTupleSpace {
   const Options& options() const { return opts_; }
   transport::Time now() const { return queue_.now(); }
 
-  /// Engine accounting: keyed bucket probes vs unkeyed scan fallbacks for
-  /// tuple lookups and waiter wakeups.
-  const tuples::MatchStats& index_stats() const {
-    return index_.match_stats();
-  }
-  const tuples::MatchStats& waiter_stats() const {
-    return waiters_.match_stats();
-  }
-
-  /// Mirrors the engine's accounting into `r` ("match.*", "waiters.*").
+  /// Binds the engine's accounting (keyed bucket probes vs unkeyed scan
+  /// fallbacks for tuple lookups and waiter wakeups) to `r`: its "match.*"
+  /// and "waiters.*" instruments are the only record. An unbound space
+  /// counts no engine work.
   void bind_metrics(obs::Registry& r) {
     index_.bind_metrics(r);
     waiters_.bind_metrics(r);

@@ -18,6 +18,10 @@
 // a sorted-vector bucket, unkeyed scans walk the arity shard's sorted id
 // list — so two runs with the same seed always see the same candidate
 // sequence even though the buckets themselves live in unordered_maps.
+//
+// Accounting: bind_metrics() attaches the index to a registry whose
+// "match.*" instruments are the only record of its probes, scans and
+// candidates (MatchMetrics, matcher.h). An unbound index counts nothing.
 
 #pragma once
 
@@ -100,10 +104,8 @@ class TupleIndex {
   void for_each(const std::function<void(TupleId, const Tuple&)>& fn) const;
 
   /// Engine accounting: bucket probes vs scan fallbacks, candidates
-  /// examined/rejected. Always maintained; bind_metrics() additionally
-  /// mirrors the stream into registry instruments under "match.*".
-  const MatchStats& match_stats() const { return stats_; }
-  void reset_match_stats() { stats_.reset(); }
+  /// examined/rejected, counted only in `r` under "match.*" (MatchMetrics).
+  /// An unbound index counts nothing.
   void bind_metrics(obs::Registry& r) { metrics_.bind(r, "match"); }
 
 #if TIAMAT_AUDIT_ENABLED
@@ -151,7 +153,6 @@ class TupleIndex {
   std::map<TupleId, Tuple> by_id_;
   std::unordered_map<std::size_t, Shard> shards_;  // by arity
   std::size_t footprint_ = 0;
-  mutable MatchStats stats_;
   MatchMetrics metrics_;
 };
 
@@ -166,7 +167,6 @@ void TupleIndex::lookup(const CompiledPattern& p, Fn&& fn) const {
   auto done = [&] { metrics_.on_lookup_done(examined, rejected); };
 
   if (p.keyed()) {
-    ++stats_.bucket_probes;
     metrics_.on_probe();
     auto bit = shard.buckets.find(p.key());
     if (bit != shard.buckets.end()) {
@@ -180,13 +180,10 @@ void TupleIndex::lookup(const CompiledPattern& p, Fn&& fn) const {
         if (!fn(e->first, e->second)) break;
       }
     }
-    stats_.candidates += examined;
-    stats_.rejected += rejected;
     done();
     return;
   }
 
-  ++stats_.scan_fallbacks;
   metrics_.on_scan();
   for (TupleId id : shard.ids) {
     ++examined;
@@ -197,8 +194,6 @@ void TupleIndex::lookup(const CompiledPattern& p, Fn&& fn) const {
     }
     if (!fn(id, t)) break;
   }
-  stats_.candidates += examined;
-  stats_.rejected += rejected;
   done();
 }
 

@@ -12,11 +12,12 @@
 //     dropped at compile time). Candidacy is rejected on arity/signature
 //     without walking fields; bucket probes skip re-checking the key field.
 //
-//   MatchStats — the engine's probe/scan accounting, shared by TupleIndex
-//     and WaiterIndex. Raw counters are always maintained (cheap integer
-//     adds); bind_metrics() additionally mirrors them into an obs::Registry
-//     so BENCH_*.json and instance snapshots expose bucket-probe vs
-//     full-scan-fallback ratios and a rejections-per-lookup sketch.
+//   MatchMetrics — the engine's probe/scan accounting, shared by TupleIndex
+//     and WaiterIndex. It lives only in registry instruments: bind_metrics()
+//     points an index at an obs::Registry, and instance snapshots,
+//     BENCH_*.json, benches and tests all read bucket-probe vs
+//     full-scan-fallback ratios and a rejections-per-lookup sketch from
+//     there. An unbound index counts nothing.
 
 #pragma once
 
@@ -85,22 +86,16 @@ class CompiledPattern {
   bool keyed_ = false;
 };
 
-/// Probe/scan accounting shared by TupleIndex and WaiterIndex. The raw
-/// fields are the source of truth (tests and benches read them directly);
-/// when bound to a registry the same numbers are mirrored into named
-/// instruments so they appear in JSON snapshots.
-struct MatchStats {
-  std::uint64_t bucket_probes = 0;    ///< keyed lookups: one bucket visited
-  std::uint64_t scan_fallbacks = 0;   ///< unkeyed lookups: whole shard walked
-  std::uint64_t candidates = 0;       ///< tuples/waiters examined
-  std::uint64_t rejected = 0;         ///< examined but failed to match
-
-  void reset() { *this = MatchStats{}; }
-};
-
-/// Mirrors a MatchStats stream into registry instruments. `prefix` is the
-/// metric namespace ("match" for tuple storage, "waiters" for the waiter
-/// index). Null until bind(); every hook tolerates the unbound state.
+/// Probe/scan accounting shared by TupleIndex and WaiterIndex, kept only in
+/// registry instruments under `prefix` ("match" for tuple storage,
+/// "waiters" for the waiter index):
+///   <prefix>.bucket_probes        keyed lookups: one bucket visited
+///   <prefix>.scan_fallbacks       unkeyed lookups: whole shard walked
+///   <prefix>.candidates           tuples/waiters examined
+///   <prefix>.rejected             examined but failed to match
+///   <prefix>.rejected_per_lookup  one sample per counted lookup
+/// Null until bind(): an unbound engine counts nothing, and every hook
+/// tolerates that state.
 class MatchMetrics {
  public:
   void bind(obs::Registry& r, const std::string& prefix) {
@@ -110,8 +105,6 @@ class MatchMetrics {
     rejected_ = &r.counter(prefix + ".rejected");
     rejected_per_op_ = &r.sketch(prefix + ".rejected_per_lookup");
   }
-
-  bool bound() const { return probes_ != nullptr; }
 
   void on_probe() const {
     if (probes_ != nullptr) probes_->add();

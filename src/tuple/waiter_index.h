@@ -94,7 +94,6 @@ class WaiterIndex {
         if (bit != ait->second.end()) keyed = bit->second;
       }
     }
-    ++stats_.bucket_probes;
     metrics_.on_probe();
 
     std::vector<std::uint64_t> out;
@@ -112,8 +111,6 @@ class WaiterIndex {
     }
     out.insert(out.end(), kit, keyed.end());
     examined += keyed.size();
-    stats_.candidates += examined;
-    stats_.rejected += skipped;
     metrics_.on_lookup_done(examined, skipped);
     return out;
   }
@@ -138,8 +135,10 @@ class WaiterIndex {
     for (auto& [id, e] : entries_) fn(id, e.payload);
   }
 
-  const MatchStats& match_stats() const { return stats_; }
-  void reset_match_stats() { stats_.reset(); }
+  /// Offer accounting, counted only in `r` under "waiters.*"
+  /// (MatchMetrics): every offer is one bucket probe, examines the keyed
+  /// bucket plus the whole overflow, and rejects overflow waiters of
+  /// another arity. An unbound index counts nothing.
   void bind_metrics(obs::Registry& r) { metrics_.bind(r, "waiters"); }
 
 #if TIAMAT_AUDIT_ENABLED
@@ -308,7 +307,6 @@ class WaiterIndex {
                                         ValueHash>>
       buckets_;
   std::vector<std::uint64_t> overflow_;  ///< ascending ids, unkeyed patterns
-  mutable MatchStats stats_;
   MatchMetrics metrics_;
 };
 

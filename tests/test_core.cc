@@ -216,11 +216,19 @@ TEST_F(CoreFixture, LosersTupleRemainsReadable) {
 
 /// Every work counter of the local space and its index, for "did this
 /// search the space?" comparisons.
-std::vector<std::uint64_t> space_work(const Instance& i) {
+std::vector<std::uint64_t> space_work(Instance& i) {
   const space::SpaceStats& s = i.local_space().stats();
-  const tuples::MatchStats& m = i.local_space().index_stats();
-  return {s.outs,          s.reads,          s.takes,        s.hits,
-          m.bucket_probes, m.scan_fallbacks, m.candidates,   m.rejected};
+  auto engine = [&i](const char* name) {
+    return i.metrics().counter(name).value();
+  };
+  return {s.outs,
+          s.reads,
+          s.takes,
+          s.hits,
+          engine("match.bucket_probes"),
+          engine("match.scan_fallbacks"),
+          engine("match.candidates"),
+          engine("match.rejected")};
 }
 
 TEST_F(CoreFixture, LeaseRefusalFailsOperationBeforeAnyWork) {
@@ -321,12 +329,13 @@ TEST_F(CoreFixture, LocalMissSearchesOnceThenResolvesAtPeer) {
   auto b = make("b");
   a->out(Tuple{"near", 3});  // same arity, so the keyed probe runs
   b->out(Tuple{"far", 3});
-  const std::uint64_t probes = a->local_space().index_stats().bucket_probes;
+  obs::Counter& probes_counter = a->metrics().counter("match.bucket_probes");
+  const std::uint64_t probes = probes_counter.value();
   const std::uint64_t takes = a->local_space().stats().takes;
   auto r = run_inp(*a, Pattern{"far", any_int()});
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->source, b->node());
-  EXPECT_EQ(a->local_space().index_stats().bucket_probes, probes + 1);
+  EXPECT_EQ(probes_counter.value(), probes + 1);
   EXPECT_EQ(a->local_space().stats().takes, takes + 1);
   EXPECT_EQ(a->monitor().counters().satisfied_remote, 1u);
   EXPECT_EQ(a->monitor().counters().satisfied_local, 0u);

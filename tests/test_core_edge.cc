@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "baselines/peers.h"
 #include "core/instance.h"
@@ -131,8 +134,9 @@ TEST(Robustness, GarbageAndForeignMessagesIgnored) {
     w.net.send(attacker, a.node(), net::encode_message(stray));
   }
   w.run_all();
-  EXPECT_EQ(a.endpoint().stats().decode_failures, 1u);
-  EXPECT_GE(a.endpoint().stats().unhandled, 1u);  // the Peers request
+  EXPECT_EQ(a.metrics().counter("net.decode_failures").value(), 1u);
+  // The Peers request.
+  EXPECT_GE(a.metrics().counter("net.unhandled").value(), 1u);
   // The instance still works.
   a.out(Tuple{"alive"});
   EXPECT_EQ(a.local_space().count_matches(Pattern{"alive"}), 1u);
@@ -148,6 +152,76 @@ TEST(Robustness, TruncatedOpRequestIgnored) {
   bad.origin = attacker;
   w.net.send(attacker, a.node(), net::encode_message(bad));
   w.run_all();
+  EXPECT_EQ(a.serving_count(), 0u);
+  EXPECT_EQ(a.leases().active(), 0u);
+  EXPECT_EQ(a.metrics().counter("net.decode_failures").value(), 1u);
+}
+
+/// An OpRequest from `attacker` with the given op-kind and deadline headers
+/// and a pattern every string-keyed tuple matches.
+net::Message op_request(transport::NodeId attacker, std::uint64_t op_id,
+                        tuples::Value kind, tuples::Value deadline) {
+  net::Message m;
+  m.type = net::kOpRequest;
+  m.op_id = op_id;
+  m.origin = attacker;
+  m.h(std::move(kind)).h(std::move(deadline));
+  m.pattern = Pattern{any_string()};
+  return m;
+}
+
+TEST(Robustness, BadKindOpRequestsHoldNoLease) {
+  World w;
+  Instance a(w.tx, cfg("a"));
+  auto attacker = w.net.add_node();
+  obs::Counter& granted = a.metrics().counter("lease.granted");
+  obs::Counter& dropped = a.metrics().counter("net.decode_failures");
+  const std::uint64_t granted_before = granted.value();
+  const std::uint64_t dropped_before = dropped.value();
+  // More requests than the policy's max_active_ops (256): were each to hold
+  // a serving lease until its TTL, the instance would refuse its own ops.
+  const std::int64_t bad_kinds[] = {-1, 4, 99};
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    w.net.send(attacker, a.node(),
+               net::encode_message(op_request(
+                   attacker, i + 1, tuples::Value(bad_kinds[i % 3]),
+                   tuples::Value(std::int64_t{-1}))));
+  }
+  w.run_for(sim::milliseconds(100));
+  EXPECT_EQ(a.leases().active(), 0u);
+  EXPECT_EQ(granted.value(), granted_before);
+  EXPECT_EQ(dropped.value(), dropped_before + 300);
+  EXPECT_EQ(a.serving_count(), 0u);
+  EXPECT_EQ(a.out(Tuple{"alive"}), Status::kOk);
+}
+
+TEST(Robustness, WrongTypedOpRequestHeadersAreDroppedNotThrown) {
+  World w;
+  Instance a(w.tx, cfg("a"));
+  auto attacker = w.net.add_node();
+  obs::Counter& dropped = a.metrics().counter("net.decode_failures");
+  const std::uint64_t granted = a.metrics().counter("lease.granted").value();
+  const std::uint64_t before = dropped.value();
+  // A string where the op kind belongs.
+  w.net.send(attacker, a.node(),
+             net::encode_message(op_request(attacker, 1, tuples::Value("inp"),
+                                            tuples::Value(std::int64_t{-1}))));
+  EXPECT_NO_THROW(w.run_for(sim::milliseconds(100)));
+  EXPECT_EQ(dropped.value(), before + 1);
+  // The drop path also leaves its trace footprint.
+  const std::vector<obs::TraceEvent> tail = a.flight_recorder().tail();
+  EXPECT_TRUE(std::any_of(tail.begin(), tail.end(), [&](const auto& e) {
+    return e.kind == obs::EventKind::kDecodeFailure && e.peer == attacker;
+  }));
+  // A string where the deadline belongs.
+  w.net.send(attacker, a.node(),
+             net::encode_message(op_request(
+                 attacker, 2, tuples::Value(std::int64_t{3}),
+                 tuples::Value("never"))));
+  EXPECT_NO_THROW(w.run_for(sim::milliseconds(100)));
+  EXPECT_EQ(dropped.value(), before + 2);
+  EXPECT_EQ(a.metrics().counter("lease.granted").value(), granted);
+  EXPECT_EQ(a.leases().active(), 0u);
   EXPECT_EQ(a.serving_count(), 0u);
 }
 
@@ -215,12 +289,15 @@ TEST(Misc, SelfDirectedOpsBehaveLikeLocal) {
   Instance a(w.tx, cfg("a"));
   a.out(Tuple{"mine", 5});
   std::optional<ReadResult> got;
+  obs::Counter& started = a.metrics().counter("op.started");
+  const std::uint64_t started_before = started.value();
   ASSERT_TRUE(a.inp_at(a.handle(), Pattern{"mine", any_int()},
                        [&](auto r) { got = r; }));
   w.run_for(sim::milliseconds(100));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->source, a.node());
   EXPECT_EQ(a.endpoint().stats().sent, 0u) << "no network for self ops";
+  EXPECT_EQ(started.value(), started_before + 1) << "one op, counted once";
 }
 
 TEST(Misc, ZeroArityTuplesWorkEndToEnd) {

@@ -220,6 +220,8 @@ TEST(Requesters, StrictTreatsAbsentOfferDimensionAsGenerous) {
 TEST(Manager, NegotiationGrantsAndExpires) {
   EventQueue q;
   LeaseManager m(q, default_policy());
+  obs::Registry reg;
+  m.bind_metrics(reg);
   auto l = m.negotiate(FlexibleRequester{for_duration(seconds(1))});
   ASSERT_TRUE(l != nullptr);
   EXPECT_TRUE(l->active());
@@ -234,14 +236,16 @@ TEST(Manager, NegotiationGrantsAndExpires) {
   EXPECT_TRUE(ended);
   EXPECT_EQ(q.now(), seconds(1));
   EXPECT_EQ(m.active(), 0u);
-  EXPECT_EQ(m.stats().expired, 1u);
+  EXPECT_EQ(reg.counter("lease.expired").value(), 1u);
 }
 
 TEST(Manager, PolicyRefusalReturnsNull) {
   EventQueue q;
   LeaseManager m(q, std::make_unique<DenyAllPolicy>());
+  obs::Registry reg;
+  m.bind_metrics(reg);
   EXPECT_EQ(m.negotiate(FlexibleRequester{}), nullptr);
-  EXPECT_EQ(m.stats().refused_by_policy, 1u);
+  EXPECT_EQ(reg.counter("lease.refused_by_policy").value(), 1u);
 }
 
 TEST(Manager, RequesterRefusalReturnsNull) {
@@ -249,19 +253,23 @@ TEST(Manager, RequesterRefusalReturnsNull) {
   DefaultLeasePolicy::Caps caps;
   caps.max_ttl = seconds(1);
   LeaseManager m(q, default_policy(caps));
+  obs::Registry reg;
+  m.bind_metrics(reg);
   StrictRequester strict(for_duration(seconds(100)), 0.9);
   EXPECT_EQ(m.negotiate(strict), nullptr);
-  EXPECT_EQ(m.stats().refused_by_requester, 1u);
+  EXPECT_EQ(reg.counter("lease.refused_by_requester").value(), 1u);
 }
 
 TEST(Manager, ReleaseCancelsExpiryTimer) {
   EventQueue q;
   LeaseManager m(q, default_policy());
+  obs::Registry reg;
+  m.bind_metrics(reg);
   auto l = m.negotiate(FlexibleRequester{for_duration(seconds(5))});
   ASSERT_TRUE(l);
   l->release();
   EXPECT_EQ(m.active(), 0u);
-  EXPECT_EQ(m.stats().released, 1u);
+  EXPECT_EQ(reg.counter("lease.released").value(), 1u);
   q.run_until_idle();
   EXPECT_EQ(l->state(), LeaseState::kReleased);  // not expired later
 }
@@ -269,13 +277,15 @@ TEST(Manager, ReleaseCancelsExpiryTimer) {
 TEST(Manager, RevokeEndsLeaseEarly) {
   EventQueue q;
   LeaseManager m(q, default_policy());
+  obs::Registry reg;
+  m.bind_metrics(reg);
   auto l = m.negotiate(FlexibleRequester{for_duration(seconds(5))});
   ASSERT_TRUE(l);
   bool revoked = false;
   l->on_end([&](LeaseState s) { revoked = (s == LeaseState::kRevoked); });
   EXPECT_TRUE(m.revoke(l->id()));
   EXPECT_TRUE(revoked);
-  EXPECT_EQ(m.stats().revoked, 1u);
+  EXPECT_EQ(reg.counter("lease.revoked").value(), 1u);
   EXPECT_FALSE(m.revoke(l->id()));  // second revoke: gone
 }
 
@@ -310,9 +320,11 @@ TEST(Manager, UsageProbeFeedsPolicy) {
 TEST(Manager, GrantStatsCount) {
   EventQueue q;
   LeaseManager m(q, default_policy());
+  obs::Registry reg;
+  m.bind_metrics(reg);
   m.negotiate(FlexibleRequester{});
   m.negotiate(FlexibleRequester{});
-  EXPECT_EQ(m.stats().granted, 2u);
+  EXPECT_EQ(reg.counter("lease.granted").value(), 2u);
 }
 
 TEST(Manager, NegotiateIsGrantOfAgree) {
@@ -322,6 +334,10 @@ TEST(Manager, NegotiateIsGrantOfAgree) {
   q2.run_for(milliseconds(5));
   LeaseManager composed(q1, default_policy());
   LeaseManager split(q2, default_policy());
+  obs::Registry composed_reg;
+  obs::Registry split_reg;
+  composed.bind_metrics(composed_reg);
+  split.bind_metrics(split_reg);
   const FlexibleRequester req{for_duration(seconds(3))};
   for (int i = 0; i < 3; ++i) {
     auto a = composed.negotiate(req);
@@ -341,19 +357,20 @@ TEST(Manager, NegotiateIsGrantOfAgree) {
   }
   EXPECT_EQ(composed.active(), split.active());
   EXPECT_EQ(q1.pending(), q2.pending());
-  EXPECT_EQ(composed.stats().granted, split.stats().granted);
+  EXPECT_EQ(composed_reg.counter("lease.granted").value(),
+            split_reg.counter("lease.granted").value());
 
   // Refusals count the same way, and agree refuses with nothing created.
   StrictRequester strict(for_duration(seconds(1000)), 0.9);
   EXPECT_EQ(composed.negotiate(strict), nullptr);
   EXPECT_FALSE(split.agree(strict).has_value());
-  EXPECT_EQ(composed.stats().refused_by_requester, 1u);
-  EXPECT_EQ(split.stats().refused_by_requester, 1u);
+  EXPECT_EQ(composed_reg.counter("lease.refused_by_requester").value(), 1u);
+  EXPECT_EQ(split_reg.counter("lease.refused_by_requester").value(), 1u);
   EXPECT_EQ(composed.active(), split.active());
   q1.run_until_idle();
   q2.run_until_idle();
-  EXPECT_EQ(composed.stats().expired, 3u);
-  EXPECT_EQ(split.stats().expired, 3u);
+  EXPECT_EQ(composed_reg.counter("lease.expired").value(), 3u);
+  EXPECT_EQ(split_reg.counter("lease.expired").value(), 3u);
 }
 
 TEST(Manager, AccountingOnlyGrantTakesNextIdAndCountsBothEnds) {
@@ -370,8 +387,6 @@ TEST(Manager, AccountingOnlyGrantTakesNextIdAndCountsBothEnds) {
   EXPECT_EQ(id, first->id() + 1);
   EXPECT_EQ(m.active(), 1u);
   EXPECT_EQ(q.pending(), pending) << "no expiry timer";
-  EXPECT_EQ(m.stats().granted, 2u);
-  EXPECT_EQ(m.stats().released, 1u);
   EXPECT_EQ(reg.counter("lease.granted").value(), 2u);
   EXPECT_EQ(reg.counter("lease.released").value(), 1u);
   EXPECT_EQ(reg.gauge("lease.active").value(), 1.0);
@@ -386,9 +401,9 @@ TEST(Manager, AccountingOnlyGrantTakesNextIdAndCountsBothEnds) {
   next->release();
   q.run_until_idle();
   EXPECT_EQ(m.active(), 0u);
-  EXPECT_EQ(m.stats().expired, 1u);
-  EXPECT_EQ(m.stats().released, 2u);
-  EXPECT_EQ(m.stats().granted, 3u);
+  EXPECT_EQ(reg.counter("lease.expired").value(), 1u);
+  EXPECT_EQ(reg.counter("lease.released").value(), 2u);
+  EXPECT_EQ(reg.counter("lease.granted").value(), 3u);
 }
 
 // ---------------- ResourcePool ----------------

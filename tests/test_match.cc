@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -125,6 +126,8 @@ std::vector<TupleId> oracle_matches(const std::map<TupleId, Tuple>& store,
 TEST(MatchEngine, DifferentialAgainstLinearScan) {
   sim::Rng rng(20260806);
   TupleIndex idx;
+  obs::Registry reg;
+  idx.bind_metrics(reg);
   std::map<TupleId, Tuple> shadow;  // ascending-id linear-scan oracle
   std::vector<TupleId> erased_ids;
   TupleId next_id = 1;
@@ -191,8 +194,8 @@ TEST(MatchEngine, DifferentialAgainstLinearScan) {
     }
   }
   // The workload must have exercised both lookup paths and re-insertion.
-  EXPECT_GT(idx.match_stats().bucket_probes, 0u);
-  EXPECT_GT(idx.match_stats().scan_fallbacks, 0u);
+  EXPECT_GT(reg.counter("match.bucket_probes").value(), 0u);
+  EXPECT_GT(reg.counter("match.scan_fallbacks").value(), 0u);
   EXPECT_GT(reinserts, 0);
 }
 
@@ -248,52 +251,211 @@ TEST(WaiterIndexTest, CandidatesCoverEveryMatchingWaiter) {
   }
 }
 
-// ---- Registry mirror -------------------------------------------------------
+// ---- Accounting vs a shadow oracle -----------------------------------------
 
-// perfbench's per-layer counts read the engine through the registry mirror:
-// every mirrored counter must equal the raw MatchStats field it shadows,
-// and the rejections-per-lookup sketch holds one sample per probe or scan.
-TEST(MatchEngine, RegistryMirrorEqualsMatchStats) {
+// The engine's accounting lives only in the registry it is bound to, and
+// perfbench's per-op counts read it there. Every count is recomputed here
+// from a shadow of the stored tuples and parked waiters, never from the
+// engine itself.
+
+/// Expected "<prefix>.*" counters: bucket_probes, scan_fallbacks,
+/// candidates, rejected.
+struct Accounting {
+  std::array<std::uint64_t, 4> counters{};
+
+  void lookup(bool keyed, std::uint64_t examined, std::uint64_t rejected) {
+    ++counters[keyed ? 0 : 1];
+    counters[2] += examined;
+    counters[3] += rejected;
+  }
+};
+
+std::array<std::uint64_t, 4> counted(obs::Registry& r,
+                                     const std::string& prefix) {
+  return {r.counter(prefix + ".bucket_probes").value(),
+          r.counter(prefix + ".scan_fallbacks").value(),
+          r.counter(prefix + ".candidates").value(),
+          r.counter(prefix + ".rejected").value()};
+}
+
+/// A tuple lookup examines the stored tuples of the pattern's arity in id
+/// order (only those in the key's bucket when the pattern is keyed) and
+/// stops once `stop_after` matches were visited (0 = never). Nothing is
+/// counted when no stored tuple has that arity: empty shards are pruned.
+void expect_lookup(Accounting& a, const std::map<TupleId, Tuple>& store,
+                   const CompiledPattern& p, std::size_t stop_after) {
+  bool shard = false;
+  std::uint64_t examined = 0;
+  std::uint64_t rejected = 0;
+  std::size_t matched = 0;
+  for (const auto& [id, t] : store) {
+    if (t.arity() != p.arity()) continue;
+    shard = true;
+    if (stop_after != 0 && matched == stop_after) continue;
+    if (p.keyed() && !(t[0] == p.key())) continue;
+    ++examined;
+    if (p.matches(t)) {
+      ++matched;
+    } else {
+      ++rejected;
+    }
+  }
+  if (shard) a.lookup(p.keyed(), examined, rejected);
+}
+
+/// A waiter offer is one bucket probe. It examines the keyed bucket of the
+/// tuple's (arity, first field) plus the whole overflow, and rejects the
+/// overflow waiters of another arity.
+void expect_offer(Accounting& a,
+                  const std::map<std::uint64_t, CompiledPattern>& parked,
+                  const Tuple& t) {
+  std::uint64_t examined = 0;
+  std::uint64_t rejected = 0;
+  for (const auto& [id, p] : parked) {
+    if (!p.keyed()) {
+      ++examined;
+      if (p.arity() != t.arity()) ++rejected;
+    } else if (p.arity() == t.arity() && p.key() == t[0]) {
+      ++examined;
+    }
+  }
+  a.lookup(true, examined, rejected);
+}
+
+TEST(MatchEngine, AccountingMatchesShadowOracle) {
   sim::Rng rng(20261017);
-  obs::Registry reg;
   TupleIndex idx;
   WaiterIndex<int> waiters;
+  std::map<TupleId, Tuple> store;
+  std::map<std::uint64_t, CompiledPattern> parked;
+  TupleId next_tuple = 1;
+  std::uint64_t next_waiter = 1;
+
+  // Work done before binding is counted nowhere: binding starts the
+  // registry's counters at zero, with no catch-up.
+  for (int i = 0; i < 50; ++i) {
+    Tuple t = random_tuple(rng);
+    idx.insert(next_tuple, t);
+    store.emplace(next_tuple++, t);
+    idx.count_matches(random_pattern(rng, t.arity(), &t));
+    waiters.candidates(t);
+  }
+  obs::Registry reg;
   idx.bind_metrics(reg);
   waiters.bind_metrics(reg);
-  for (TupleId id = 1; id <= 2000; ++id) {
-    Tuple t = random_tuple(rng);
-    idx.insert(id, t);
-    if (rng.chance(0.3)) {
-      waiters.add(id, CompiledPattern(random_pattern(rng, t.arity(), &t)), 0);
-    }
-    // Keyed or unkeyed by whether the first field came out an actual.
-    Pattern p = random_pattern(rng, rng.index(7), &t);
-    if (rng.chance(0.5)) {
-      idx.find_first(p);
-    } else {
-      idx.count_matches(p);
-    }
-    waiters.candidates(random_tuple(rng));
-  }
-  EXPECT_GT(idx.match_stats().bucket_probes, 0u);
-  EXPECT_GT(idx.match_stats().scan_fallbacks, 0u);
+  Accounting match;
+  Accounting offer;
+  ASSERT_EQ(counted(reg, "match"), match.counters);
+  ASSERT_EQ(counted(reg, "waiters"), offer.counters);
 
-  for (const auto& [prefix, stats] :
-       {std::pair{std::string("match"), idx.match_stats()},
-        std::pair{std::string("waiters"), waiters.match_stats()}}) {
+  int pruned = 0;
+  for (int step = 0; step < 2500; ++step) {
+    SCOPED_TRACE(step);
+    std::optional<std::size_t> drained;
+    const auto roll = rng.index(10);
+    if (step % 250 == 125) {
+      // Drain one arity: its shard is pruned, so the lookup below, aimed
+      // at that arity, must count nothing.
+      drained = rng.index(7);
+      for (auto it = store.begin(); it != store.end();) {
+        if (it->second.arity() != *drained) {
+          ++it;
+          continue;
+        }
+        ASSERT_TRUE(idx.erase(it->first).has_value());
+        it = store.erase(it);
+      }
+    } else if (roll < 5 || store.empty()) {
+      Tuple t = random_tuple(rng);
+      idx.insert(next_tuple, t);
+      store.emplace(next_tuple++, std::move(t));
+    } else if (roll < 8) {
+      auto it = store.begin();
+      std::advance(it, static_cast<long>(rng.index(store.size())));
+      ASSERT_TRUE(idx.erase(it->first).has_value());
+      store.erase(it);
+    }
+    if (rng.chance(0.3)) {
+      CompiledPattern p(random_pattern(rng, rng.index(7), nullptr));
+      waiters.add(next_waiter, p, 0);
+      parked.emplace(next_waiter++, std::move(p));
+    } else if (!parked.empty() && rng.chance(0.2)) {
+      auto it = parked.begin();
+      std::advance(it, static_cast<long>(rng.index(parked.size())));
+      ASSERT_TRUE(waiters.extract(it->first).has_value());
+      parked.erase(it);
+    }
+
+    // A tuple lookup through one of the engine's four entry points, keyed
+    // or unkeyed by whether the first field came out an actual.
+    const Tuple* target = nullptr;
+    if (!store.empty() && rng.chance(0.7)) {
+      auto it = store.begin();
+      std::advance(it, static_cast<long>(rng.index(store.size())));
+      target = &it->second;
+    }
+    std::size_t arity =
+        target != nullptr && rng.chance(0.8) ? target->arity() : rng.index(7);
+    if (drained) {
+      arity = *drained;
+      target = nullptr;
+    }
+    const CompiledPattern p(random_pattern(rng, arity, target));
+    const bool shard = std::any_of(store.begin(), store.end(), [&](auto& e) {
+      return e.second.arity() == p.arity();
+    });
+    if (!shard) ++pruned;
+    switch (rng.index(4)) {
+      case 0:
+        idx.find_first(p);
+        expect_lookup(match, store, p, 1);
+        break;
+      case 1: {
+        const std::size_t limit = rng.index(3);  // 0 = no limit
+        idx.find_matches(p, limit);
+        expect_lookup(match, store, p, limit);
+        break;
+      }
+      case 2:
+        idx.count_matches(p);
+        expect_lookup(match, store, p, 0);
+        break;
+      default: {
+        int visits = 0;
+        idx.for_each_match(p, [&](TupleId, const Tuple&) {
+          return ++visits < 2;
+        });
+        expect_lookup(match, store, p, 2);
+        break;
+      }
+    }
+
+    // A waiter offer. Values come from a small pool, so offers hit keyed
+    // buckets as well as the overflow.
+    Tuple t = random_tuple(rng);
+    waiters.candidates(t);
+    expect_offer(offer, parked, t);
+
+    ASSERT_EQ(counted(reg, "match"), match.counters);
+    ASSERT_EQ(counted(reg, "waiters"), offer.counters);
+  }
+
+  for (const auto& [prefix, want] :
+       {std::pair{std::string("match"), match},
+        std::pair{std::string("waiters"), offer}}) {
     SCOPED_TRACE(prefix);
-    EXPECT_GT(stats.rejected, 0u);
-    EXPECT_EQ(reg.counter(prefix + ".bucket_probes").value(),
-              stats.bucket_probes);
-    EXPECT_EQ(reg.counter(prefix + ".scan_fallbacks").value(),
-              stats.scan_fallbacks);
-    EXPECT_EQ(reg.counter(prefix + ".candidates").value(), stats.candidates);
-    EXPECT_EQ(reg.counter(prefix + ".rejected").value(), stats.rejected);
+    EXPECT_GT(want.counters[0], 0u);  // bucket probes
+    EXPECT_GT(want.counters[2], 0u);  // candidates
+    EXPECT_GT(want.counters[3], 0u);  // rejections
+    // One sample per counted lookup; the samples sum to `rejected`.
     const obs::QuantileSketch& per_lookup =
         reg.sketch(prefix + ".rejected_per_lookup");
-    EXPECT_EQ(per_lookup.count(), stats.bucket_probes + stats.scan_fallbacks);
-    EXPECT_EQ(per_lookup.sum(), static_cast<double>(stats.rejected));
+    EXPECT_EQ(per_lookup.count(), want.counters[0] + want.counters[1]);
+    EXPECT_EQ(per_lookup.sum(), static_cast<double>(want.counters[3]));
   }
+  EXPECT_GT(match.counters[1], 0u);  // tuple lookups also scanned
+  EXPECT_EQ(offer.counters[1], 0u);  // an offer never scans
+  EXPECT_GT(pruned, 0) << "no lookup hit a pruned arity shard";
 }
 
 // ---- Behavioural regressions the spaces depend on -------------------------

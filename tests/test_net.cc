@@ -10,6 +10,7 @@
 #include "net/message.h"
 #include "net/responder_cache.h"
 #include "net/rpc.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace tiamat::net {
@@ -104,9 +105,11 @@ TEST(EndpointTest, GarbagePayloadCountsDecodeFailure) {
   auto a = w.net.add_node();
   auto b = w.net.add_node();
   Endpoint eb(w.tx, b);
+  obs::Registry reg;
+  eb.bind_metrics(reg);
   w.net.send(a, b, sim::Payload{0xFF, 0xFF, 0x01});
   w.run_all();
-  EXPECT_EQ(eb.stats().decode_failures, 1u);
+  EXPECT_EQ(reg.counter("net.decode_failures").value(), 1u);
   EXPECT_EQ(eb.stats().received, 0u);
 }
 
@@ -115,11 +118,13 @@ TEST(EndpointTest, UnhandledTypeCounted) {
   auto a = w.net.add_node();
   auto b = w.net.add_node();
   Endpoint ea(w.tx, a), eb(w.tx, b);
+  obs::Registry reg;
+  eb.bind_metrics(reg);
   Message m;
   m.type = 77;
   ea.send(b, m);
   w.run_all();
-  EXPECT_EQ(eb.stats().unhandled, 1u);
+  EXPECT_EQ(reg.counter("net.unhandled").value(), 1u);
 }
 
 TEST(EndpointTest, MulticastToGroup) {
