@@ -89,6 +89,26 @@ void BM_KeyedFindFirst(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyedFindFirst)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
+void BM_KeyedFindFirstWide(benchmark::State& state) {
+  // perfbench local_pair's lookup: one bucket of kKeys tuples {k, i, i}
+  // probed for the id in its last slot, so every slot is a candidate and
+  // all but the last differ only past the key.
+  TupleIndex idx;
+  for (std::int64_t i = 0; i < kKeys; ++i) {
+    idx.insert(static_cast<TupleId>(i + 1), Tuple{"k", i, i});
+  }
+  CompiledPattern p(Pattern{"k", kKeys - 1, any_int()});
+  obs::Registry engine;
+  idx.bind_metrics(engine);
+  for (auto _ : state) {
+    auto id = idx.find_first(p);
+    benchmark::DoNotOptimize(id);
+  }
+  state.SetItemsProcessed(state.iterations());
+  export_stats("keyed_find_first_wide", kKeys, engine, "match");
+}
+BENCHMARK(BM_KeyedFindFirstWide);
+
 void BM_UnkeyedFindFirst(benchmark::State& state) {
   const auto n = state.range(0);
   TupleIndex idx = populated_index(n);

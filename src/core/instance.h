@@ -280,7 +280,7 @@ class Instance {
     space::WaiterId waiter = space::kNoWaiter;
     tuples::TupleId tentative = tuples::kNoTuple;
     transport::EventId hold_timer = transport::kInvalidEvent;
-    Pattern pattern;          ///< for re-arming blocking in (lost reply)
+    tuples::CompiledPattern pattern;  ///< for re-arming blocking in (lost reply)
     transport::Time deadline = 0;   ///< effective waiter deadline
   };
 
@@ -296,6 +296,11 @@ class Instance {
   void serve_remote_out(transport::NodeId from, const Message& m);
   void serve_remote_eval(transport::NodeId from, const Message& m);
   void serving_drop(std::uint64_t key, bool release_tentative);
+  /// Puts a tentatively held tuple back (§2.2: another instance won, or the
+  /// originator vanished), counting and tracing the reinsert. A tuple whose
+  /// storage lease ended during the hold is gone: nothing is counted.
+  void serving_reinsert(tuples::TupleId id, transport::NodeId origin,
+                        std::uint64_t op_id);
   /// Serving table key: origin node + their op id (op ids are per-instance).
   static std::uint64_t serving_key(transport::NodeId origin, std::uint64_t op_id);
 

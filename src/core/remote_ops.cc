@@ -195,10 +195,11 @@ void Instance::serve_op_request(transport::NodeId from, const Message& m) {
       s.origin = origin;
       s.kind = kind;
       s.lease = l;
-      s.pattern = *m.pattern;
+      // Compiled once: the search below, the waiter and every re-arm use it.
+      s.pattern = tuples::CompiledPattern(*m.pattern);
       s.deadline = deadline;
+      const bool immediate = !space_.has_match(s.pattern);  // will it block?
       serving_[key] = std::move(s);
-      const bool immediate = !space_.has_match(*m.pattern);  // will it block?
       if (immediate) {
         // No match yet: ack so the originator keeps us on its list.
         reply(false, true, std::nullopt);
@@ -243,9 +244,7 @@ void Instance::arm_serving_in(std::uint64_t key) {
         if (it == serving_.end()) {
           // Entry vanished (cancelled) yet the waiter fired: put the tuple
           // straight back.
-          space_.release_tentative(r->first);
-          ++monitor_.counters().tuples_reinserted;
-          trace(obs::EventKind::kServeReinsert, origin, op_id, origin);
+          serving_reinsert(r->first, origin, op_id);
           return;
         }
         it->second.tentative = r->first;
@@ -260,11 +259,9 @@ void Instance::arm_serving_in(std::uint64_t key) {
               if (it2 == serving_.end()) return;
               it2->second.hold_timer = transport::kInvalidEvent;
               if (it2->second.tentative != tuples::kNoTuple) {
-                space_.release_tentative(it2->second.tentative);
+                serving_reinsert(it2->second.tentative, it2->second.origin,
+                                 it2->second.op_id);
                 it2->second.tentative = tuples::kNoTuple;
-                ++monitor_.counters().tuples_reinserted;
-                trace(obs::EventKind::kServeReinsert, it2->second.origin,
-                      it2->second.op_id, it2->second.origin);
               }
               if (it2->second.deadline > tx_.now()) {
                 arm_serving_in(key);
@@ -288,13 +285,16 @@ void Instance::serving_drop(std::uint64_t key, bool release_tentative) {
   if (s.waiter != space::kNoWaiter) space_.cancel_waiter(s.waiter);
   if (s.hold_timer != transport::kInvalidEvent) timers_.cancel(s.hold_timer);
   if (s.tentative != tuples::kNoTuple && release_tentative) {
-    space_.release_tentative(s.tentative);
-    // §2.2 multi-match protocol: we matched but another instance won the
-    // operation (or the originator vanished) — the tuple goes back.
-    ++monitor_.counters().tuples_reinserted;
-    trace(obs::EventKind::kServeReinsert, s.origin, s.op_id, s.origin);
+    serving_reinsert(s.tentative, s.origin, s.op_id);
   }
   if (s.lease && s.lease->active()) s.lease->release();
+}
+
+void Instance::serving_reinsert(tuples::TupleId id, transport::NodeId origin,
+                                std::uint64_t op_id) {
+  if (!space_.release_tentative(id)) return;
+  ++monitor_.counters().tuples_reinserted;
+  trace(obs::EventKind::kServeReinsert, origin, op_id, origin);
 }
 
 void Instance::serve_cancel(transport::NodeId from, const Message& m) {

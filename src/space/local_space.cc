@@ -278,9 +278,9 @@ bool LocalTupleSpace::offer_to_waiters(TupleId id, const Tuple& t) {
 // ---- Tentative removal -------------------------------------------------------
 
 std::optional<std::pair<TupleId, Tuple>> LocalTupleSpace::take_tentative(
-    const Pattern& p) {
+    const tuples::CompiledPattern& p) {
   ++stats_.takes;
-  auto id = select_match(tuples::CompiledPattern(p));
+  auto id = select_match(p);
   if (!id) return std::nullopt;
   ++stats_.hits;
   // Keep the expiry on file: a released tuple resumes its old lease.
@@ -298,7 +298,7 @@ std::optional<std::pair<TupleId, Tuple>> LocalTupleSpace::take_tentative(
 }
 
 WaiterId LocalTupleSpace::take_tentative_blocking(
-    const Pattern& p, transport::Time deadline,
+    const tuples::CompiledPattern& p, transport::Time deadline,
     std::function<void(std::optional<std::pair<TupleId, Tuple>>)> cb) {
   if (auto taken = take_tentative(p)) {
     cb(taken);
@@ -314,7 +314,7 @@ WaiterId LocalTupleSpace::take_tentative_blocking(
   w.tentative = true;
   w.deadline = deadline;
   w.tcb = std::move(cb);
-  return add_waiter(tuples::CompiledPattern(p), std::move(w));
+  return add_waiter(p, std::move(w));
 }
 
 bool LocalTupleSpace::release_tentative(TupleId id) {
@@ -397,10 +397,19 @@ void LocalTupleSpace::purge_expired() {
 }
 
 bool LocalTupleSpace::reclaim(TupleId id) {
-  if (!index_.contains(id)) return false;
-  drop_tuple_timer(id);
-  expiries_.erase(id);
-  index_.erase(id);
+  if (index_.contains(id)) {
+    drop_tuple_timer(id);
+    expiries_.erase(id);
+    index_.erase(id);
+  } else if (auto it = tentative_.find(id); it != tentative_.end()) {
+    // Parked by a tentative take: the hold may still end in a release,
+    // which must then find nothing to put back.
+    tentative_bytes_ -= it->second.footprint();
+    tentative_.erase(it);
+    tentative_expiry_.erase(id);
+  } else {
+    return false;
+  }
   ++stats_.tuples_expired;
   TIAMAT_AUDIT_CHECK(audit_check("reclaim"));
   return true;
@@ -464,7 +473,7 @@ std::size_t LocalTupleSpace::count_matches(const Pattern& p) const {
   return index_.count_matches(p);
 }
 
-bool LocalTupleSpace::has_match(const Pattern& p) const {
+bool LocalTupleSpace::has_match(const tuples::CompiledPattern& p) const {
   return index_.find_first(p).has_value();
 }
 

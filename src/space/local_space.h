@@ -107,13 +107,23 @@ class LocalTupleSpace {
   // ---- Tentative removal (first-response-wins support, §3.1.3) ----------
 
   /// Removes a matching tuple from visibility but keeps it recoverable.
-  std::optional<std::pair<TupleId, Tuple>> take_tentative(const Pattern& p);
+  std::optional<std::pair<TupleId, Tuple>> take_tentative(
+      const tuples::CompiledPattern& p);
+  std::optional<std::pair<TupleId, Tuple>> take_tentative(const Pattern& p) {
+    return take_tentative(tuples::CompiledPattern(p));
+  }
 
   /// Same, but waits until `deadline` for a match (remote blocking in).
   /// The callback receives the id+tuple once tentatively removed.
   WaiterId take_tentative_blocking(
-      const Pattern& p, transport::Time deadline,
+      const tuples::CompiledPattern& p, transport::Time deadline,
       std::function<void(std::optional<std::pair<TupleId, Tuple>>)> cb);
+  WaiterId take_tentative_blocking(
+      const Pattern& p, transport::Time deadline,
+      std::function<void(std::optional<std::pair<TupleId, Tuple>>)> cb) {
+    return take_tentative_blocking(tuples::CompiledPattern(p), deadline,
+                                   std::move(cb));
+  }
 
   /// Loser path: puts a tentatively-removed tuple back (it becomes visible
   /// again and may satisfy pending waiters).
@@ -133,8 +143,9 @@ class LocalTupleSpace {
   /// Re-leases a stored tuple (e.g. its producer renewed).
   bool set_tuple_expiry(TupleId id, transport::Time expiry);
 
-  /// Lease-driven reclamation: removes a stored tuple because its storage
-  /// lease ended (counts as an expiry). False if it is no longer stored.
+  /// Lease-driven reclamation: removes a stored tuple, or discards one
+  /// parked by a tentative take, because its storage lease ended (counts as
+  /// an expiry). False if it is neither stored nor parked.
   bool reclaim(TupleId id);
 
   bool contains(TupleId id) const { return index_.contains(id); }
@@ -177,7 +188,10 @@ class LocalTupleSpace {
 
   /// True iff at least one visible tuple matches `p`; short-circuits on
   /// the first match.
-  bool has_match(const Pattern& p) const;
+  bool has_match(const tuples::CompiledPattern& p) const;
+  bool has_match(const Pattern& p) const {
+    return has_match(tuples::CompiledPattern(p));
+  }
 
   const SpaceStats& stats() const { return stats_; }
   const Options& options() const { return opts_; }

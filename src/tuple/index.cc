@@ -12,10 +12,13 @@ namespace tiamat::tuples {
 
 namespace {
 
-// Shard id lists hold plain ids, buckets hold pointers to by_id_ entries;
-// both stay sorted by id, and the helpers below serve either.
+// Shard id lists hold plain ids, buckets hold slots pointing at by_id_
+// entries; both stay sorted by id, and the helpers below serve either.
 TupleId id_of(TupleId id) { return id; }
-TupleId id_of(const std::pair<const TupleId, Tuple>* e) { return e->first; }
+template <typename Slot>
+TupleId id_of(const Slot& s) {
+  return s.entry->first;
+}
 
 template <typename Slots>
 auto find_slot(Slots& v, TupleId id) {
@@ -66,7 +69,9 @@ void TupleIndex::insert(TupleId id, Tuple t) {
   const Tuple& stored = e.second;
   Shard& shard = shards_[stored.arity()];
   sorted_insert(shard.ids, id);
-  if (stored.arity() > 0) sorted_insert(shard.buckets[stored[0]], &e);
+  if (stored.arity() > 0) {
+    sorted_insert(shard.buckets[stored[0]], Slot{&e, rest_signature(stored)});
+  }
 }
 
 std::optional<Tuple> TupleIndex::erase(TupleId id) {
@@ -196,21 +201,30 @@ void TupleIndex::audit_check(const char* checkpoint) const {
              "empty bucket key=" + key.to_string() + " not pruned");
         return;
       }
-      for (const Entry* e : slots) {
-        if (!std::binary_search(live.begin(), live.end(), e,
+      for (const Slot& s : slots) {
+        if (!std::binary_search(live.begin(), live.end(), s.entry,
                                 std::less<const Entry*>())) {
           trap("bucket-slot", "bucket key=" + key.to_string() +
                                   " holds a slot that points at no stored "
                                   "entry");
           return;
         }
-        const Tuple& t = e->second;
+        const Tuple& t = s.entry->second;
         if (t.arity() == 0 || t.arity() != arity || !(t[0] == key)) {
           std::ostringstream os;
           os << "arity " << arity << " bucket key=" << key.to_string()
-             << " points at " << describe(e->first, t)
+             << " points at " << describe(s.entry->first, t)
              << " whose arity or first field differs";
           trap("bucket-slot", os.str());
+          return;
+        }
+        // A missing bit would make keyed probes skip a matching tuple.
+        if (s.signature != rest_signature(t)) {
+          std::ostringstream os;
+          os << "bucket key=" << key.to_string() << " slot of "
+             << describe(s.entry->first, t) << " has signature " << std::hex
+             << s.signature << ", its fields give " << rest_signature(t);
+          trap("slot-signature", os.str());
           return;
         }
       }
@@ -316,7 +330,15 @@ void TupleIndex::audit_corrupt_bucket_for_test(TupleId id, TupleId retarget) {
     return;
   }
   auto slot = find_slot(bit->second, id);
-  if (slot != bit->second.end() && (*slot)->first == id) *slot = &*target;
+  if (slot != bit->second.end() && id_of(*slot) == id) slot->entry = &*target;
+}
+
+void TupleIndex::audit_corrupt_signature_for_test(TupleId id) {
+  const Tuple* t = get(id);
+  if (t == nullptr || t->arity() == 0) return;
+  auto& slots = shards_.at(t->arity()).buckets.at((*t)[0]);
+  auto slot = find_slot(slots, id);
+  if (slot != slots.end() && id_of(*slot) == id) slot->signature = 0;
 }
 
 void TupleIndex::audit_differential(const CompiledPattern& p,

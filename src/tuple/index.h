@@ -8,6 +8,13 @@
 // A bucket slot points at its tuple's by_id_ entry (std::map nodes keep
 // their address until erased), so a keyed probe reads each candidate's id
 // and tuple with one load rather than an O(log n) tree walk per candidate.
+// Beside the pointer a slot keeps its tuple's rest_signature (matcher.h),
+// computed once at insert: a keyed probe skips a slot that lacks a bit of
+// the pattern's rest mask before reading its entry, and a bucket of 64
+// tuples that share a tag but differ in an id field costs one slot-array
+// walk instead of 64 node reads. A skipped slot still counts as an
+// examined, rejected candidate, so the "match.*" accounting and the
+// candidate order are those of an unfiltered walk.
 // The shard-wide id list keeps plain ids: every erase binary-searches it
 // across the whole arity, and pointer slots there would add a random node
 // read per search step. Because slots point into by_id_, the index is
@@ -112,8 +119,9 @@ class TupleIndex {
   /// Full structural re-verification (audit builds only): every stored
   /// tuple in its arity shard's id list and — for arity > 0 — in exactly
   /// one bucket whose key equals (and hashes equal to) the tuple's first
-  /// field; all id vectors strictly ascending; footprint accounting exact.
-  /// Traps through audit::fail on violation.
+  /// field, under a slot whose signature is its rest_signature; all id
+  /// vectors strictly ascending; footprint accounting exact. Traps through
+  /// audit::fail on violation.
   void audit_check(const char* checkpoint) const;
 
   /// Test hook: removes `id` from its shard bucket while leaving it in
@@ -121,6 +129,10 @@ class TupleIndex {
   /// violation for the corruption-trap tests. Given a stored `retarget`,
   /// points id's bucket slot at retarget's entry instead of removing it.
   void audit_corrupt_bucket_for_test(TupleId id, TupleId retarget = kNoTuple);
+
+  /// Test hook: clears the signature of id's bucket slot, so a keyed probe
+  /// with an actual past the key would skip the stored tuple.
+  void audit_corrupt_signature_for_test(TupleId id);
 
  private:
   /// Differential oracle: re-runs a keyed find_matches as a linear scan of
@@ -135,13 +147,20 @@ class TupleIndex {
  private:
   using Entry = std::map<TupleId, Tuple>::value_type;
 
+  /// A keyed bucket's slot: the tuple's by_id_ entry and its
+  /// rest_signature.
+  struct Slot {
+    const Entry* entry;
+    std::uint64_t signature;
+  };
+
   // One shard per arity: hash buckets by first field for keyed probes, plus
   // the shard-wide ascending id list for deterministic unkeyed scans.
-  // Bucket slots (pointers to by_id_ entries) are kept sorted by id; ids
-  // arrive mostly in increasing order (spaces allocate them monotonically)
-  // so inserts are usually an amortized-O(1) push_back.
+  // Bucket slots are kept sorted by id; ids arrive mostly in increasing
+  // order (spaces allocate them monotonically) so inserts are usually an
+  // amortized-O(1) push_back.
   struct Shard {
-    std::unordered_map<Value, std::vector<const Entry*>, ValueHash> buckets;
+    std::unordered_map<Value, std::vector<Slot>, ValueHash> buckets;
     std::vector<TupleId> ids;
   };
 
@@ -170,14 +189,17 @@ void TupleIndex::lookup(const CompiledPattern& p, Fn&& fn) const {
     metrics_.on_probe();
     auto bit = shard.buckets.find(p.key());
     if (bit != shard.buckets.end()) {
-      for (const Entry* e : bit->second) {
+      const std::uint64_t mask = p.rest_mask();
+      for (const Slot& s : bit->second) {
         ++examined;
-        // Bucket membership already proves arity and first-field equality.
-        if (!p.matches_rest(e->second)) {
+        // Bucket membership already proves arity and first-field equality;
+        // a signature missing a mask bit proves an actual past the key
+        // differs, without reading the entry.
+        if ((s.signature & mask) != mask || !p.matches_rest(s.entry->second)) {
           ++rejected;
           continue;
         }
-        if (!fn(e->first, e->second)) break;
+        if (!fn(s.entry->first, s.entry->second)) break;
       }
     }
     done();

@@ -7,10 +7,22 @@
 // two shared pieces:
 //
 //   CompiledPattern — a pattern with its match plan precomputed: arity,
-//     leading-actual key (and that key's hash), a field-kind signature, and
-//     the list of field positions that actually need checking (wildcards are
-//     dropped at compile time). Candidacy is rejected on arity/signature
-//     without walking fields; bucket probes skip re-checking the key field.
+//     leading-actual key (and that key's hash), the list of field positions
+//     that actually need checking (wildcards are dropped at compile time)
+//     and the rest mask of its actuals past the key. Candidacy is rejected
+//     on arity without walking fields; bucket probes skip re-checking the
+//     key field.
+//
+//   field_bit / rest_signature — the slot-signature digest. Each field past
+//     the key sets one of 64 bits, chosen by a digest of its position, type
+//     and value. TupleIndex stores a tuple's rest_signature beside its
+//     bucket slot; a keyed probe skips a slot whose signature lacks a bit of
+//     the pattern's rest mask without reading the tuple. The contract is
+//     one-sided: equal values set equal bits (-0.0 and +0.0 too), so a
+//     skipped slot can never match; distinct values may share a bit, and
+//     matches_rest still decides every slot that passes. Strings and blobs
+//     are digested from their length and their first and last 8 bytes, so
+//     a KiB page body costs O(1).
 //
 //   MatchMetrics — the engine's probe/scan accounting, shared by TupleIndex
 //     and WaiterIndex. It lives only in registry instruments: bind_metrics()
@@ -29,6 +41,13 @@
 #include "tuple/tuple.h"
 
 namespace tiamat::tuples {
+
+/// The one bit that value `v` at field position `pos` sets in a slot
+/// signature. Equal values at the same position set the same bit.
+std::uint64_t field_bit(std::size_t pos, const Value& v);
+
+/// OR of field_bit over `t`'s fields past the key (positions 1..arity-1).
+std::uint64_t rest_signature(const Tuple& t);
 
 /// A Pattern plus its precomputed match plan. Cheap to copy relative to the
 /// pattern it wraps (one extra small vector); built once per operation or
@@ -49,14 +68,14 @@ class CompiledPattern {
   /// Precomputed hash of key(); saves rehashing on every bucket probe.
   std::size_t key_hash() const { return key_hash_; }
 
-  /// 3 bits of Field::Kind per field (fields past 20 are not encoded).
-  /// Two patterns with different signatures can never have identical match
-  /// plans; used for cheap pattern comparison and engine diagnostics.
-  std::uint64_t kind_signature() const { return signature_; }
-
   /// True when every field is a wildcard: any tuple of the right arity
   /// matches, so the engine can skip per-field checks entirely.
   bool match_all() const { return checks_.empty(); }
+
+  /// OR of field_bit over the actual fields past the key. Every tuple that
+  /// matches has all of these bits in its rest_signature; 0 (no actual past
+  /// the key) passes every slot.
+  std::uint64_t rest_mask() const { return rest_mask_; }
 
   /// Full match: arity gate, then only the precompiled non-wildcard checks.
   bool matches(const Tuple& t) const {
@@ -81,7 +100,7 @@ class CompiledPattern {
  private:
   Pattern pattern_;
   std::vector<std::uint32_t> checks_;  ///< non-wildcard field positions
-  std::uint64_t signature_ = 0;
+  std::uint64_t rest_mask_ = 0;
   std::size_t key_hash_ = 0;
   bool keyed_ = false;
 };

@@ -94,6 +94,22 @@ TEST(AuditTrap, RetargetedBucketSlotTrapsWithDiagnostic) {
   EXPECT_NE(rec.last().find("tuple id 3"), std::string::npos);
 }
 
+TEST(AuditTrap, StaleSlotSignatureTrapsWithDiagnostic) {
+  TupleIndex idx;
+  idx.insert(1, Tuple{"req", 1, "a"});
+  idx.insert(2, Tuple{"req", 2, "b"});
+  // Clear id 2's slot signature: a keyed probe for {"req", 2, ?} would now
+  // skip the stored tuple without reading it.
+  idx.audit_corrupt_signature_for_test(2);
+
+  TrapRecorder rec;
+  idx.audit_check("test");
+  ASSERT_TRUE(rec.trapped());
+  EXPECT_NE(rec.last().find("TupleIndex"), std::string::npos);
+  EXPECT_NE(rec.last().find("slot-signature"), std::string::npos);
+  EXPECT_NE(rec.last().find("tuple id 2"), std::string::npos);
+}
+
 TEST(AuditTrap, CorruptedWaiterFifoTrapsWithDiagnostic) {
   WaiterIndex<int> waiters;
   // Two unkeyed waiters land in the overflow; swapping their ids breaks

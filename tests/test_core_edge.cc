@@ -227,6 +227,19 @@ TEST(Robustness, WrongTypedOpRequestHeadersAreDroppedNotThrown) {
 
 // ---------------- Originator death with tentative outstanding ----------------
 
+/// Runs the sim until `holder` parks a tuple for `taker`'s remote take (the
+/// request leaves after the probe window), then kills the taker before the
+/// holder's reply can reach it: the hold ends in no Confirm.
+void park_then_kill(World& w, Instance& holder,
+                    std::unique_ptr<Instance>& taker) {
+  for (int ms = 0; ms < 100 && holder.local_space().tentative_count() == 0;
+       ++ms) {
+    w.run_for(sim::milliseconds(1));
+  }
+  ASSERT_EQ(holder.local_space().tentative_count(), 1u);
+  taker.reset();  // in-flight messages to it will be dropped
+}
+
 TEST(TentativeRecovery, OriginatorDiesBeforeConfirm) {
   World w;
   auto taker = std::make_unique<Instance>(w.tx, cfg("taker"));
@@ -234,17 +247,38 @@ TEST(TentativeRecovery, OriginatorDiesBeforeConfirm) {
   holder.out(Tuple{"prize"},
              lease::FlexibleRequester{lease::for_duration(sim::seconds(50))});
 
-  // Let the take begin, then kill the taker the instant the request is
-  // sent (before any response can arrive, 2 ms link latency).
   taker->inp(Pattern{"prize"}, [](auto) {});
-  w.run_for(sim::milliseconds(1));
-  taker.reset();  // in-flight messages to it will be dropped
+  ASSERT_NO_FATAL_FAILURE(park_then_kill(w, holder, taker));
 
   // The holder's tentative hold expires and the tuple returns.
   w.run_for(sim::seconds(5));
   EXPECT_EQ(holder.local_space().tentative_count(), 0u);
   EXPECT_EQ(holder.local_space().count_matches(Pattern{"prize"}), 1u)
       << "the tuple must come back when the winner never confirms";
+  EXPECT_EQ(holder.metrics().counter("serve.reinserted").value(), 1u);
+}
+
+TEST(TentativeRecovery, LeaseEndingDuringHoldKeepsTupleGone) {
+  World w;
+  auto taker = std::make_unique<Instance>(w.tx, cfg("taker"));
+  Instance holder(w.tx, cfg("holder"));
+  holder.out(Tuple{"x", 1}, lease::FlexibleRequester{
+                                lease::for_duration(sim::milliseconds(100))});
+  obs::Counter& reinserted = holder.metrics().counter("serve.reinserted");
+
+  // The holder parks the tuple for a taker that dies before confirming.
+  // The hold (750 ms) outlasts the storage lease (100 ms).
+  taker->inp(Pattern{"x", any_int()}, [](auto) {});
+  ASSERT_NO_FATAL_FAILURE(park_then_kill(w, holder, taker));
+
+  // The storage lease ends during the hold; the hold's release then finds
+  // nothing to put back, and nothing is counted as reinserted.
+  w.run_for(sim::seconds(100));
+  EXPECT_EQ(holder.local_space().tentative_count(), 0u);
+  EXPECT_EQ(holder.local_space().count_matches(Pattern{"x", any_int()}), 0u)
+      << "a tuple whose lease ended must not come back unleased";
+  EXPECT_EQ(reinserted.value(), 0u);
+  EXPECT_EQ(holder.leases().active(), 0u);
 }
 
 // ---------------- Misc semantics ----------------

@@ -2,16 +2,21 @@
 // bucketed TupleIndex and the keyed WaiterIndex are checked against naive
 // linear-scan oracles over randomized workloads covering every Field::Kind
 // and arities 0–6, plus regression tests pinning the behavioural contract
-// the spaces rely on: ascending-id match order, FIFO waiter priority, and
-// seed-determined nondeterministic selection.
+// the spaces rely on: ascending-id match order, FIFO waiter priority,
+// seed-determined nondeterministic selection, and the slot-signature
+// digest's equal-values-equal-bits rule.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,10 +46,17 @@ using tuples::Type;
 using tuples::Value;
 using tuples::WaiterIndex;
 
+// Two distinct strings of one length that share their first and last 8
+// bytes. The slot digest reads only those, so the twins set the same bit at
+// every position: a keyed probe for one passes the other's slot through
+// the signature filter, and only matches_rest tells them apart.
+const std::string kTwinA = "twin-key-A-tail-end";
+const std::string kTwinB = "twin-key-B-tail-end";
+
 // Values are drawn from a small pool so random patterns actually collide
 // with stored tuples instead of matching nothing.
 Value random_value(sim::Rng& rng) {
-  switch (rng.index(5)) {
+  switch (rng.index(6)) {
     case 0:
       return Value(rng.uniform(0, 5));
     case 1:
@@ -53,10 +65,37 @@ Value random_value(sim::Rng& rng) {
       return Value(rng.chance(0.5));
     case 3:
       return Value("k" + std::to_string(rng.uniform(0, 5)));
+    case 4:
+      return Value(rng.chance(0.5) ? kTwinA : kTwinB);
     default:
       return Value(Blob(static_cast<std::size_t>(rng.uniform(0, 2)),
                         std::uint8_t{0xab}));
   }
+}
+
+bool is_twin(const Value& v) {
+  return v.is_string() &&
+         (v.as_string() == kTwinA || v.as_string() == kTwinB);
+}
+
+/// True when `p` is keyed and some tuple of its bucket in `store` holds the
+/// other twin where `p` has a twin actual past the key: a slot the
+/// signature filter must pass and matches_rest must reject.
+bool probes_twin_collision(const std::map<TupleId, Tuple>& store,
+                           const Pattern& p) {
+  const CompiledPattern cp(p);
+  if (!cp.keyed()) return false;
+  for (const auto& [id, t] : store) {
+    if (t.arity() != cp.arity() || !(t[0] == cp.key())) continue;
+    for (std::size_t i = 1; i < t.arity(); ++i) {
+      const Field& f = p.at(i);
+      if (f.kind() == Field::Kind::kActual && is_twin(f.actual()) &&
+          is_twin(t[i]) && !(f.actual() == t[i])) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 Tuple random_tuple(sim::Rng& rng) {
@@ -132,6 +171,7 @@ TEST(MatchEngine, DifferentialAgainstLinearScan) {
   std::vector<TupleId> erased_ids;
   TupleId next_id = 1;
   int reinserts = 0;
+  int twin_probes = 0;
 
   for (int step = 0; step < 3000; ++step) {
     // Mutate: mostly inserts, some erases, so sizes drift up and down.
@@ -174,6 +214,7 @@ TEST(MatchEngine, DifferentialAgainstLinearScan) {
         target != nullptr && rng.chance(0.8) ? target->arity() : rng.index(7);
     Pattern p = random_pattern(rng, arity, target);
     const std::vector<TupleId> expect = oracle_matches(shadow, p);
+    if (probes_twin_collision(shadow, p)) ++twin_probes;
 
     EXPECT_EQ(idx.find_matches(p), expect) << "pattern " << p.to_string();
     EXPECT_EQ(idx.count_matches(p), expect.size());
@@ -197,6 +238,7 @@ TEST(MatchEngine, DifferentialAgainstLinearScan) {
   EXPECT_GT(reg.counter("match.bucket_probes").value(), 0u);
   EXPECT_GT(reg.counter("match.scan_fallbacks").value(), 0u);
   EXPECT_GT(reinserts, 0);
+  EXPECT_GT(twin_probes, 0) << "no probe passed a colliding slot";
 }
 
 TEST(MatchEngine, FindMatchesHonoursLimit) {
@@ -330,6 +372,7 @@ TEST(MatchEngine, AccountingMatchesShadowOracle) {
   std::map<std::uint64_t, CompiledPattern> parked;
   TupleId next_tuple = 1;
   std::uint64_t next_waiter = 1;
+  int twin_probes = 0;
 
   // Work done before binding is counted nowhere: binding starts the
   // registry's counters at zero, with no catch-up.
@@ -400,7 +443,9 @@ TEST(MatchEngine, AccountingMatchesShadowOracle) {
       arity = *drained;
       target = nullptr;
     }
-    const CompiledPattern p(random_pattern(rng, arity, target));
+    const Pattern drawn = random_pattern(rng, arity, target);
+    if (probes_twin_collision(store, drawn)) ++twin_probes;
+    const CompiledPattern p(drawn);
     const bool shard = std::any_of(store.begin(), store.end(), [&](auto& e) {
       return e.second.arity() == p.arity();
     });
@@ -456,6 +501,106 @@ TEST(MatchEngine, AccountingMatchesShadowOracle) {
   EXPECT_GT(match.counters[1], 0u);  // tuple lookups also scanned
   EXPECT_EQ(offer.counters[1], 0u);  // an offer never scans
   EXPECT_GT(pruned, 0) << "no lookup hit a pruned arity shard";
+  EXPECT_GT(twin_probes, 0) << "no lookup passed a colliding slot";
+}
+
+// ---- Slot signatures --------------------------------------------------------
+
+// Every position a tuple field can take in the tests above, and then some.
+constexpr std::size_t kPositions = 9;
+
+TEST(SlotSignature, EqualValuesSetEqualBits) {
+  std::vector<std::pair<Value, Value>> equal = {
+      {Value(std::int64_t{0}), Value(0)},
+      {Value(std::int64_t{-7}), Value(-7)},
+      {Value(std::numeric_limits<std::int64_t>::min()),
+       Value(std::numeric_limits<std::int64_t>::min())},
+      {Value(0.0), Value(-0.0)},
+      {Value(-0.0), Value(-0.0)},
+      {Value(2.5), Value(2.5)},
+      {Value(true), Value(true)},
+      {Value(false), Value(false)},
+      {Value(""), Value(std::string())},
+      {Value(Blob{}), Value(Blob{})},
+  };
+  // Separately built strings and blobs of every length around the 8-byte
+  // head and tail the digest reads, up to a KiB page body.
+  for (std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 1024}) {
+    std::string text;
+    Blob bytes;
+    for (std::size_t i = 0; i < n; ++i) {
+      text.push_back(static_cast<char>('a' + i % 26));
+      bytes.push_back(static_cast<std::uint8_t>(i * 37));
+    }
+    equal.emplace_back(Value(text), Value(std::string(text)));
+    equal.emplace_back(Value(bytes), Value(Blob(bytes)));
+  }
+  for (const auto& [a, b] : equal) {
+    ASSERT_EQ(a, b);
+    for (std::size_t pos = 0; pos < kPositions; ++pos) {
+      const std::uint64_t bit = tuples::field_bit(pos, a);
+      EXPECT_EQ(std::popcount(bit), 1);
+      EXPECT_EQ(bit, tuples::field_bit(pos, b))
+          << a.to_string() << " at position " << pos;
+    }
+  }
+  // The index agrees: a -0.0 stored past the key is found by +0.0.
+  TupleIndex idx;
+  idx.insert(1, Tuple{"k", -0.0});
+  EXPECT_EQ(idx.find_first(Pattern{"k", 0.0}), std::optional<TupleId>(1));
+}
+
+TEST(SlotSignature, DigestReadsLengthAndEndsOnly) {
+  // Distinct values of one length whose first and last 8 bytes agree set
+  // the same bit, however long they are: the digest is O(1) per field.
+  std::string page(1024, 'p');
+  std::string edited = page;
+  edited[512] = 'q';
+  Blob body(1024, 0x11);
+  Blob patched = body;
+  patched[8] = 0x12;
+  const std::pair<Value, Value> twins[] = {
+      {Value(kTwinA), Value(kTwinB)},
+      {Value(page), Value(edited)},
+      {Value(body), Value(patched)},
+  };
+  for (const auto& [a, b] : twins) {
+    ASSERT_NE(a, b);
+    for (std::size_t pos = 0; pos < kPositions; ++pos) {
+      EXPECT_EQ(tuples::field_bit(pos, a), tuples::field_bit(pos, b));
+    }
+  }
+}
+
+TEST(SlotSignature, EveryMatchCarriesThePatternsMask) {
+  sim::Rng rng(20261018);
+  for (int i = 0; i < 2000; ++i) {
+    const Tuple t = random_tuple(rng);
+    const Pattern p = random_pattern(rng, t.arity(), &t);
+    const CompiledPattern cp(p);
+    if (cp.matches(t)) {
+      EXPECT_EQ(tuples::rest_signature(t) & cp.rest_mask(), cp.rest_mask())
+          << p.to_string() << " vs " << t.to_string();
+    }
+    const CompiledPattern exact(Pattern::exactly(t));
+    EXPECT_EQ(exact.rest_mask(), tuples::rest_signature(t));
+  }
+  // Only actuals past the key enter the mask.
+  EXPECT_EQ(CompiledPattern(Pattern{"k", tuples::any_int(), tuples::any()})
+                .rest_mask(),
+            0u);
+  EXPECT_EQ(CompiledPattern(Pattern{"k", 3}).rest_mask(),
+            tuples::field_bit(1, Value(3)));
+}
+
+TEST(SlotSignature, DistinctIdsSpreadOverManyBits) {
+  // The local_pair shape: ids in the field past the tag. A filter whose
+  // bits barely vary would pass nearly every slot.
+  std::set<std::uint64_t> bits;
+  for (std::int64_t id = 0; id < 64; ++id) {
+    bits.insert(tuples::field_bit(1, Value(id)));
+  }
+  EXPECT_GE(bits.size(), 32u);
 }
 
 // ---- Behavioural regressions the spaces depend on -------------------------

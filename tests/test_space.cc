@@ -302,6 +302,23 @@ TEST_F(SpaceFixture, ReleaseAfterLeaseLapseReclaims) {
   EXPECT_EQ(space.size(), 0u);
 }
 
+TEST_F(SpaceFixture, ReclaimDuringTentativeHoldDiscardsTheTuple) {
+  // The storage lease ends while a remote take holds the tuple: reclaim
+  // must reach the parked tuple, or the hold's release would store it
+  // again with no lease and no expiry.
+  const TupleId id = space.out(Tuple{"t", 1}, sim::seconds(5));
+  auto taken = space.take_tentative(Pattern{"t", any_int()});
+  ASSERT_TRUE(taken);
+  EXPECT_TRUE(space.reclaim(id));
+  EXPECT_EQ(space.tentative_count(), 0u);
+  EXPECT_EQ(space.memory().tentative_bytes, 0u);
+  EXPECT_EQ(space.stats().tuples_expired, 1u);
+  EXPECT_FALSE(space.release_tentative(id));
+  EXPECT_FALSE(space.confirm_tentative(id));
+  EXPECT_FALSE(space.reclaim(id));
+  EXPECT_EQ(space.size(), 0u);
+}
+
 TEST_F(SpaceFixture, TakeTentativeBlockingWaits) {
   std::optional<std::pair<tuples::TupleId, Tuple>> got;
   space.take_tentative_blocking(Pattern{"t"}, sim::kNever,
