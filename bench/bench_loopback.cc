@@ -27,7 +27,7 @@
 // running keyed chains plus timer churn while a TimeSeriesRecorder (driven
 // by the loopback's own timers, on its own strand) samples the scheduler
 // telemetry through obs::SchedExporter — per-worker queue depth, strand
-// lag, utilization, lock-wait and tombstone counts, exported as the
+// lag, utilization, lock-wait and timer-cancel counts, exported as the
 // transport.sched.* families (`--series` records them; render with
 // `tiamat-inspect sched`).
 
@@ -314,7 +314,7 @@ void BM_SchedContention(benchmark::State& state, unsigned workers) {
       t.post(c->inst->node(), [&t, c] { chain_step(t, c); });
     }
     // Timer churn from the bench thread while the chains run:
-    // schedule-then-cancel feeds the cancel and tombstone accounting.
+    // schedule-then-cancel feeds the cancel accounting.
     for (int k = 0; k < kContentionChurn; ++k) {
       const auto id = t.timers(rec_node).schedule_at(0, [] {});
       t.timers(rec_node).cancel(id);
@@ -349,18 +349,16 @@ void BM_SchedContention(benchmark::State& state, unsigned workers) {
   r.gauge("transport.ops_per_sec", l)
       .set(total_secs > 0 ? static_cast<double>(total_ops) / total_secs : 0);
   r.gauge("transport.workers", l).set(workers);
-  std::uint64_t tasks = 0, tombstones = 0, cancels = 0, busy = 0;
+  std::uint64_t tasks = 0, cancels = 0, busy = 0;
   std::uint64_t depth_max = 0, lag_max = 0;
   for (const auto& w : sched.workers) {
     tasks += w.tasks;
-    tombstones += w.tombstones;
     cancels += w.cancels;
     busy += w.busy_us;
     depth_max = std::max(depth_max, w.queue_depth_max);
     lag_max = std::max(lag_max, w.lag_us_max);
   }
   r.counter("transport.sched.tasks", l).add(tasks);
-  r.counter("transport.sched.tombstones", l).add(tombstones);
   r.counter("transport.sched.cancels", l).add(cancels);
   r.counter("transport.sched.lock_wait_us", l).add(sched.lock_wait_us);
   r.gauge("transport.sched.queue_depth_max", l)

@@ -28,7 +28,7 @@
 //       the series view restricted to the transport scheduler telemetry
 //       (the transport.sched.* families recorded by bench_loopback
 //       --contention): per-worker queue depth, strand lag, utilization,
-//       lock-wait and tombstone series.
+//       lock-wait and timer-cancel series.
 //
 // Everything prints deterministically (ordered joins, ordered registry),
 // so output is diffable across same-seed runs.

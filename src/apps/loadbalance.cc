@@ -42,9 +42,13 @@ void LoadBalancingServer::handle(transport::NodeId from, const net::Message& m) 
       return;
     }
     case kLbResult: {
-      // header 0 = server task id; the rest is forwarded to the master.
-      if (m.headers.empty()) return;
-      const auto task_id = static_cast<std::uint64_t>(m.hint(0));
+      // (server task id, job, row); forwarded whole to the master.
+      const auto h = m.read<std::int64_t, std::int64_t, std::int64_t>();
+      if (!h) {
+        endpoint_.drop_malformed(from);
+        return;
+      }
+      const auto task_id = static_cast<std::uint64_t>(std::get<0>(*h));
       auto it = tasks_.find(task_id);
       if (it == tasks_.end()) return;  // duplicate after reassignment
       if (it->second.timeout != transport::kInvalidEvent) {
@@ -125,48 +129,47 @@ void LbWorker::start() {
   endpoint_.send(server_, reg);
 }
 
-void LbWorker::handle(transport::NodeId, const net::Message& m) {
-  if (!running_ || m.headers.size() < 9) return;
-  if (busy_) {
-    backlog_.push_back(m);  // one CPU: queue behind the current row
+void LbWorker::handle(transport::NodeId from, const net::Message& m) {
+  if (!running_) return;
+  using I = std::int64_t;
+  // (job, row, width, height, max_iter, x0, x1, y0, y1)
+  const auto h = m.read<I, I, I, I, I, double, double, double, double>();
+  if (!h) {
+    endpoint_.drop_malformed(from);
     return;
   }
-  work_on(m);
+  const auto [job, row, width, height, max_iter, x0, x1, y0, y1] = *h;
+  const Row r{m.op_id, job, static_cast<int>(row),
+              Params{static_cast<int>(width), static_cast<int>(height),
+                     static_cast<int>(max_iter), x0, x1, y0, y1}};
+  if (busy_) {
+    backlog_.push_back(r);  // one CPU: queue behind the current row
+    return;
+  }
+  work_on(r);
 }
 
 void LbWorker::next_from_backlog() {
   if (backlog_.empty() || !running_) return;
-  net::Message m = std::move(backlog_.front());
+  const Row r = backlog_.front();
   backlog_.pop_front();
-  work_on(m);
+  work_on(r);
 }
 
-void LbWorker::work_on(const net::Message& m) {
+void LbWorker::work_on(const Row& r) {
   busy_ = true;
-  Params p;
-  const auto job = m.hint(0);
-  const int row = static_cast<int>(m.hint(1));
-  p.width = static_cast<int>(m.hint(2));
-  p.height = static_cast<int>(m.hint(3));
-  p.max_iter = static_cast<int>(m.hint(4));
-  p.x0 = m.hdouble(5);
-  p.x1 = m.hdouble(6);
-  p.y0 = m.hdouble(7);
-  p.y1 = m.hdouble(8);
-  const std::uint64_t task_id = m.op_id;
   auto ev = std::make_shared<transport::EventId>(transport::kInvalidEvent);
-  *ev = timers_.schedule_after(row_cost_, [this, p, job, row, task_id,
-                                                ev] {
+  *ev = timers_.schedule_after(row_cost_, [this, r, ev] {
     pending_.erase(*ev);
     if (!running_) return;
-    auto pixels = compute_row(p, row);
+    auto pixels = compute_row(r.params, r.row);
     ++rows_computed_;
     net::Message res;
     res.type = kLbResult;
     res.origin = node();
-    res.h(static_cast<std::int64_t>(task_id));
-    res.h(job);
-    res.h(row);
+    res.h(static_cast<std::int64_t>(r.task_id));
+    res.h(r.job);
+    res.h(r.row);
     res.tuple = tuples::Tuple{tuples::Value(pack_row(pixels))};
     endpoint_.send(server_, res);
     busy_ = false;
@@ -212,13 +215,21 @@ void LbMaster::start(std::function<void()> done) {
   }
 }
 
-void LbMaster::handle(transport::NodeId, const net::Message& m) {
-  if (m.headers.size() < 3 || !m.tuple) return;
-  const int row = static_cast<int>(m.hint(2));
+void LbMaster::handle(transport::NodeId from, const net::Message& m) {
+  // (task id, job, row) and a one-blob tuple of pixels.
+  const auto h = m.read<std::int64_t, std::int64_t, std::int64_t>();
+  const tuples::Blob* pixels =
+      m.tuple && m.tuple->arity() == 1 ? (*m.tuple)[0].get_if<tuples::Blob>()
+                                       : nullptr;
+  if (!h || pixels == nullptr) {
+    endpoint_.drop_malformed(from);
+    return;
+  }
+  const std::int64_t row = std::get<2>(*h);
   if (row < 0 || row >= params_.height) return;
   auto& slot = image_[static_cast<std::size_t>(row)];
   if (!slot.empty()) return;  // duplicate after reassignment
-  slot = fractal::unpack_row((*m.tuple)[0].as_blob());
+  slot = fractal::unpack_row(*pixels);
   ++rows_done_;
   if (complete()) {
     finished_at_ = net_.now();

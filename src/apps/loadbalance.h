@@ -90,11 +90,18 @@ class LbWorker {
   transport::Duration row_cost_;
   bool running_ = false;
   bool busy_ = false;  ///< one CPU: tasks are computed serially
-  std::deque<net::Message> backlog_;
+  /// A decoded kLbTask: the server's task id, the master's job and row.
+  struct Row {
+    std::uint64_t task_id = 0;
+    std::int64_t job = 0;
+    int row = 0;
+    fractal::Params params;
+  };
+  std::deque<Row> backlog_;
   std::uint64_t rows_computed_ = 0;
   std::set<transport::EventId> pending_;
 
-  void work_on(const net::Message& m);
+  void work_on(const Row& r);
   void next_from_backlog();
 };
 

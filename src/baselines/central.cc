@@ -50,8 +50,12 @@ void CentralServer::handle(transport::NodeId from, const net::Message& m) {
     }
     case kCentralRd:
     case kCentralIn: {
-      if (!m.pattern || m.headers.empty()) return;
-      const transport::Time deadline = static_cast<transport::Time>(m.hint(0));
+      const auto h = m.read<std::int64_t>();  // (deadline) and the pattern
+      if (!h || !m.pattern) {
+        endpoint_.drop_malformed(from);
+        return;
+      }
+      const auto deadline = static_cast<transport::Time>(std::get<0>(*h));
       ++stats_.waiters_created;
       auto cb = [this, from, op_id = m.op_id](std::optional<Tuple> t) {
         reply(from, op_id, t);
@@ -76,6 +80,10 @@ CentralClient::CentralClient(transport::Transport& net, transport::NodeId server
       correlator_(timers_),
       server_(server) {
   endpoint_.on(kCentralReply, [this](transport::NodeId from, const net::Message& m) {
+    if (!m.read<bool>()) {
+      endpoint_.drop_malformed(from);
+      return;
+    }
     correlator_.route(from, m);
   });
   endpoint_.on(kCentralOutAck,
@@ -122,7 +130,8 @@ void CentralClient::request(std::uint16_t type, const Pattern& p,
   correlator_.expect(
       id,
       [cb](transport::NodeId, const net::Message& r) {
-        if (!r.headers.empty() && r.hbool(0) && r.tuple) {
+        const auto found = r.read<bool>();
+        if (found && std::get<0>(*found) && r.tuple) {
           cb(*r.tuple);
         } else {
           cb(std::nullopt);

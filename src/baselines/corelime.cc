@@ -14,6 +14,10 @@ CoreLimeHost::CoreLimeHost(transport::Transport& net, transport::NodeOptions pos
   });
   endpoint_.on(kAgentReturn,
                [this](transport::NodeId from, const net::Message& m) {
+                 if (!m.read<bool, tuples::Blob>()) {
+                   endpoint_.drop_malformed(from);
+                   return;
+                 }
                  correlator_.route(from, m);
                });
 }
@@ -34,7 +38,8 @@ void CoreLimeHost::agent_op(transport::NodeId dest, bool destructive,
   correlator_.expect(
       id,
       [cb](transport::NodeId, const net::Message& r) {
-        if (!r.headers.empty() && r.hbool(0) && r.tuple) {
+        const auto found = r.read<bool, tuples::Blob>();
+        if (found && std::get<0>(*found) && r.tuple) {
           cb(*r.tuple);
         } else {
           cb(std::nullopt);
@@ -50,24 +55,24 @@ void CoreLimeHost::agent_op(transport::NodeId dest, bool destructive,
 }
 
 void CoreLimeHost::handle(transport::NodeId from, const net::Message& m) {
-  if (!m.pattern || m.headers.empty()) return;
+  const auto h = m.read<bool, tuples::Blob>();  // (destructive, agent code)
+  if (!h || !m.pattern) {
+    endpoint_.drop_malformed(from);
+    return;
+  }
+  const auto& [destructive, code] = *h;
   ++stats_.agents_hosted;
-  const bool destructive = m.hbool(0);
   // The agent engages with the host-level space and performs its op.
   std::optional<Tuple> result =
       destructive ? space_.inp(*m.pattern) : space_.rdp(*m.pattern);
   // ... then migrates home carrying the result (and its own code again —
   // the same payload it arrived with, not this host's default).
-  const std::size_t incoming_code =
-      m.headers.size() > 1 && m.headers[1].is_blob()
-          ? m.headers[1].as_blob().size()
-          : agent_code_size;
   net::Message back;
   back.type = kAgentReturn;
   back.op_id = m.op_id;
   back.origin = node();
   back.h(result.has_value());
-  back.h(tuples::Value(tuples::Blob(incoming_code, 0xA6)));
+  back.h(tuples::Value(tuples::Blob(code.size(), 0xA6)));
   if (result) back.tuple = *result;
   endpoint_.send(from, back);
 }

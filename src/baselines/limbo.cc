@@ -206,28 +206,36 @@ std::size_t LimboNode::owned_tuples() const {
 // ---- Protocol -----------------------------------------------------------------------
 
 void LimboNode::handle(transport::NodeId from, const net::Message& m) {
+  // (creator, seq) name a tuple; an owner follows where the type has one.
+  auto id_of = [](std::int64_t creator, std::int64_t seq) {
+    return GlobalId{static_cast<transport::NodeId>(creator),
+                    static_cast<std::uint64_t>(seq)};
+  };
+  using I = std::int64_t;
   switch (m.type) {
-    case kLimboAdd: {
-      if (!m.tuple || m.headers.size() < 3) return;
-      GlobalId id{static_cast<transport::NodeId>(m.hint(0)),
-                  static_cast<std::uint64_t>(m.hint(1))};
-      apply_add(id, *m.tuple, static_cast<transport::NodeId>(m.hint(2)));
+    case kLimboAdd:
+    case kLimboSyncState: {
+      const auto h = m.read<I, I, I>();
+      if (!h || !m.tuple) break;
+      const auto [creator, seq, owner] = *h;
+      if (m.type == kLimboSyncState) ++stats_.sync_tuples_received;
+      apply_add(id_of(creator, seq), *m.tuple,
+                static_cast<transport::NodeId>(owner));
       return;
     }
     case kLimboDel: {
-      if (m.headers.size() < 2) return;
-      GlobalId id{static_cast<transport::NodeId>(m.hint(0)),
-                  static_cast<std::uint64_t>(m.hint(1))};
-      apply_del(id);
+      const auto h = m.read<I, I>();
+      if (!h) break;
+      apply_del(id_of(std::get<0>(*h), std::get<1>(*h)));
       return;
     }
     case kLimboTransfer: {
-      if (m.headers.size() < 3) return;
-      auto it = owners_.find(GlobalId{static_cast<transport::NodeId>(m.hint(0)),
-                                      static_cast<std::uint64_t>(m.hint(1))}
-                                 .key());
+      const auto h = m.read<I, I, I>();
+      if (!h) break;
+      const auto [creator, seq, owner] = *h;
+      auto it = owners_.find(id_of(creator, seq).key());
       if (it != owners_.end()) {
-        it->second = static_cast<transport::NodeId>(m.hint(2));
+        it->second = static_cast<transport::NodeId>(owner);
       }
       return;
     }
@@ -247,17 +255,10 @@ void LimboNode::handle(transport::NodeId from, const net::Message& m) {
       });
       return;
     }
-    case kLimboSyncState: {
-      if (!m.tuple || m.headers.size() < 3) return;
-      ++stats_.sync_tuples_received;
-      GlobalId id{static_cast<transport::NodeId>(m.hint(0)),
-                  static_cast<std::uint64_t>(m.hint(1))};
-      apply_add(id, *m.tuple, static_cast<transport::NodeId>(m.hint(2)));
-      return;
-    }
     default:
       return;
   }
+  endpoint_.drop_malformed(from);
 }
 
 }  // namespace tiamat::baselines

@@ -223,11 +223,17 @@ void LimeHost::flush_queue() {
 // ---- Coordinator side ------------------------------------------------------------------
 
 void LimeHost::coord_sequence(transport::NodeId origin, const net::Message& m) {
+  const auto is_out = m.read<bool>();  // an out carries its tuple, else a pattern
+  if (!is_out || !(std::get<0>(*is_out) ? m.tuple.has_value()
+                                        : m.pattern.has_value())) {
+    endpoint_.drop_malformed(origin);
+    return;
+  }
   CoordOp c;
   c.seq = next_seq_++;
   c.origin = origin;
   c.origin_op = m.op_id;
-  c.is_out = !m.headers.empty() && m.hbool(0);
+  c.is_out = std::get<0>(*is_out);
 
   net::Message apply;
   apply.type = kLimeApply;
@@ -235,7 +241,6 @@ void LimeHost::coord_sequence(transport::NodeId origin, const net::Message& m) {
   apply.origin = node();
 
   if (c.is_out) {
-    if (!m.tuple) return;
     c.tuple = *m.tuple;
     c.found = true;
     const std::uint64_t key = (static_cast<std::uint64_t>(origin) << 40) ^
@@ -247,7 +252,6 @@ void LimeHost::coord_sequence(transport::NodeId origin, const net::Message& m) {
     replica_put(key, c.tuple);
     serve_waiters_on_insert(c.tuple);
   } else {
-    if (!m.pattern) return;
     // Pick the victim here so every member removes the *same* tuple. The
     // engine yields the first match in ascending key order — the same
     // tuple the old whole-replica scan chose.
@@ -319,17 +323,17 @@ void LimeHost::coord_maybe_finish(std::uint64_t seq) {
 
 // ---- Member side ---------------------------------------------------------------------------
 
-void LimeHost::apply(const net::Message& m) {
-  if (m.headers.size() < 2) return;
-  const bool is_out = m.hbool(0);
-  const std::uint64_t key = static_cast<std::uint64_t>(m.hint(1));
+bool LimeHost::apply(const net::Message& m) {
+  const auto h = m.read<bool, std::int64_t>();  // (is_out, key)
+  if (!h || (std::get<0>(*h) && !m.tuple)) return false;
+  const auto [is_out, key] = *h;
   if (is_out) {
-    if (!m.tuple) return;
-    replica_put(key, *m.tuple);
+    replica_put(static_cast<std::uint64_t>(key), *m.tuple);
     serve_waiters_on_insert(*m.tuple);
   } else {
-    replica_.erase(key);
+    replica_.erase(static_cast<std::uint64_t>(key));
   }
+  return true;
 }
 
 // ---- Blocking waiters -------------------------------------------------------------------------
@@ -437,17 +441,27 @@ void LimeHost::handle(transport::NodeId from, const net::Message& m) {
       return;
     }
     case kLimeState: {
-      if (m.tuple && m.headers.size() >= 1) {
-        replica_put(static_cast<std::uint64_t>(m.hint(0)), *m.tuple);
-        serve_waiters_on_insert(*m.tuple);
+      const auto key = m.read<std::int64_t>();
+      if (!key || !m.tuple) {
+        endpoint_.drop_malformed(from);
+        return;
       }
+      replica_put(static_cast<std::uint64_t>(std::get<0>(*key)), *m.tuple);
+      serve_waiters_on_insert(*m.tuple);
       return;
     }
     case kLimeEngageEnd: {
-      members_.clear();
+      // The new member list: one int header per member, any count.
+      std::set<transport::NodeId> members;
       for (const auto& h : m.headers) {
-        members_.insert(static_cast<transport::NodeId>(h.as_int()));
+        const auto* id = h.get_if<std::int64_t>();
+        if (id == nullptr) {
+          endpoint_.drop_malformed(from);
+          return;
+        }
+        members.insert(static_cast<transport::NodeId>(*id));
       }
+      members_ = std::move(members);
       ++epoch_;
       if (joining_ && members_.contains(node())) {
         joining_ = false;
@@ -479,7 +493,10 @@ void LimeHost::handle(transport::NodeId from, const net::Message& m) {
       if (engaged_ && is_coordinator()) coord_sequence(m.origin, m);
       return;
     case kLimeApply: {
-      apply(m);
+      if (!apply(m)) {
+        endpoint_.drop_malformed(from);
+        return;
+      }
       net::Message ack;
       ack.type = kLimeApplyAck;
       ack.op_id = m.op_id;
@@ -496,12 +513,17 @@ void LimeHost::handle(transport::NodeId from, const net::Message& m) {
       return;
     }
     case kLimeOpResult: {
+      const auto h = m.read<bool>();
+      if (!h) {
+        endpoint_.drop_malformed(from);
+        return;
+      }
+      const auto [found] = *h;
       auto it = in_flight_.find(m.op_id);
       if (it == in_flight_.end()) return;
       PendingOp op = std::move(it->second);
       in_flight_.erase(it);
       ++stats_.ops_completed;
-      const bool found = !m.headers.empty() && m.hbool(0);
       if (op.is_out) {
         if (op.out_done) op.out_done(found);
       } else if (op.cb) {

@@ -130,7 +130,9 @@ class LimeHost {
   void finish_engagement();
 
   // member side
-  void apply(const net::Message& m);
+  /// Applies a coordinator's kLimeApply; false (applying nothing) when the
+  /// message is malformed.
+  bool apply(const net::Message& m);
 
   transport::Transport& net_;
   net::Endpoint endpoint_;

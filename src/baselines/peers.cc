@@ -60,7 +60,12 @@ void PeersNode::forward(const net::Message& m, transport::NodeId except) {
 }
 
 void PeersNode::handle_request(transport::NodeId from, const net::Message& m) {
-  if (!m.pattern || m.headers.size() < 2) return;
+  const auto h = m.read<std::int64_t, bool>();  // (ttl, destructive)
+  if (!h || !m.pattern) {
+    endpoint_.drop_malformed(from);
+    return;
+  }
+  const auto [ttl, destructive] = *h;
   const OpKey key{m.origin, m.op_id};
   const std::uint64_t kh = OpKeyHash{}(key);
   if (seen_.contains(kh)) {
@@ -70,7 +75,6 @@ void PeersNode::handle_request(transport::NodeId from, const net::Message& m) {
   seen_.insert(kh);
   route_back_[key] = from;
 
-  const bool destructive = m.hbool(1);
   auto local = destructive ? space_.inp(*m.pattern) : space_.rdp(*m.pattern);
   if (local) {
     ++stats_.responses_sent;
@@ -84,10 +88,9 @@ void PeersNode::handle_request(transport::NodeId from, const net::Message& m) {
     return;
   }
 
-  const int ttl = static_cast<int>(m.hint(0));
   if (ttl <= 1) return;  // flood exhausted here
   net::Message fwd = m;
-  fwd.headers[0] = tuples::Value(static_cast<std::int64_t>(ttl - 1));
+  fwd.headers[0] = tuples::Value(ttl - 1);
   forward(fwd, from);
 }
 

@@ -388,7 +388,8 @@ Status Instance::eval_at(const space::SpaceHandle& dest,
     correlator_.expect(
         id,
         [done](transport::NodeId, const Message& r) {
-          done(!r.headers.empty() && r.hbool(0));
+          const auto accepted = r.read<bool>();
+          done(accepted && std::get<0>(*accepted));
           return false;
         },
         tx_.now() + kResponseTimeout * 4,

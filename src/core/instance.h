@@ -264,6 +264,9 @@ class Instance {
   void op_probe(std::uint64_t op_id);
   void op_schedule_repoll(LogicalOp& op);
   void op_on_response(std::uint64_t op_id, transport::NodeId from, const Message& m);
+  /// Tells `to` to put back the tuple it holds tentatively for `op_id`: a
+  /// match that lost the race (§3.1.3) or arrived after the op finished.
+  void send_release(transport::NodeId to, std::uint64_t op_id);
   void op_ack_timeout(std::uint64_t op_id, transport::NodeId target);
   void op_finish(std::uint64_t op_id, std::optional<ReadResult> result);
   void op_lease_ended(std::uint64_t op_id, lease::LeaseState state);

@@ -278,10 +278,11 @@ void Instance::op_on_response(std::uint64_t op_id, transport::NodeId from,
                               const Message& m) {
   LogicalOp* op = find_op(op_id);
   if (op == nullptr) return;
-  if (m.type != net::kOpResponse || m.headers.size() < 2) return;
-
-  const bool found = m.hbool(0);
-  const bool serving = m.hbool(1);
+  // The kOpResponse handler checked the shape; another type that reached
+  // this op id through the correlator is ignored.
+  const auto h = m.read<bool, bool>();
+  if (m.type != net::kOpResponse || !h) return;
+  const auto [found, serving] = *h;
   trace(obs::EventKind::kPeerResponse, node_, op_id, from,
         (found ? 2 : 0) | (serving ? 1 : 0));
 
@@ -294,19 +295,14 @@ void Instance::op_on_response(std::uint64_t op_id, transport::NodeId from,
   }
   cache_.record_success(from);
 
-  if (found && m.tuple) {
+  if (found) {
     if (!op->done) {
       // First response wins (§3.1.3).
       op_finish(op_id, ReadResult{*m.tuple, from});
     } else if (is_destructive(op->kind)) {
       // Late winner: "the remaining instances place the tuples back into
       // their respective spaces."
-      Message rel;
-      rel.type = net::kRelease;
-      rel.op_id = op_id;
-      rel.origin = node_;
-      endpoint_.send(from, rel);
-      trace(obs::EventKind::kReinsert, node_, op_id, from);
+      send_release(from, op_id);
     }
     return;
   }
@@ -317,6 +313,15 @@ void Instance::op_on_response(std::uint64_t op_id, transport::NodeId from,
     op->exhausted.insert(from);
     op_advance(op_id);
   }
+}
+
+void Instance::send_release(transport::NodeId to, std::uint64_t op_id) {
+  Message rel;
+  rel.type = net::kRelease;
+  rel.op_id = op_id;
+  rel.origin = node_;
+  endpoint_.send(to, rel);
+  trace(obs::EventKind::kReinsert, node_, op_id, to);
 }
 
 void Instance::op_ack_timeout(std::uint64_t op_id, transport::NodeId target) {

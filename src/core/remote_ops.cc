@@ -18,16 +18,6 @@ constexpr std::int64_t kNoDeadline = -1;
 transport::Time decode_deadline(std::int64_t v) {
   return v == kNoDeadline ? transport::kNever : static_cast<transport::Time>(v);
 }
-
-/// An OpRequest names one of the four op kinds in header 0 and the
-/// requester's deadline in header 1, and carries a pattern.
-bool well_formed_op_request(const net::Message& m) {
-  if (m.headers.size() < 2 || !m.pattern) return false;
-  if (!m.headers[0].is_int() || !m.headers[1].is_int()) return false;
-  const std::int64_t kind = m.headers[0].as_int();
-  return kind >= static_cast<std::int64_t>(OpKind::kRd) &&
-         kind <= static_cast<std::int64_t>(OpKind::kInp);
-}
 }  // namespace
 
 void Instance::install_handlers() {
@@ -35,17 +25,16 @@ void Instance::install_handlers() {
     serve_op_request(from, m);
   });
   endpoint_.on(net::kOpResponse, [this](transport::NodeId from, const Message& m) {
-    if (!correlator_.route(from, m)) {
-      // Stale response to a finished operation. If it carried a match the
-      // responder is holding a tentative tuple for us: release it.
-      if (m.headers.size() >= 1 && m.hbool(0)) {
-        Message rel;
-        rel.type = net::kRelease;
-        rel.op_id = m.op_id;
-        rel.origin = node_;
-        endpoint_.send(from, rel);
-        trace(obs::EventKind::kReinsert, node_, m.op_id, from);
-      }
+    // (found, serving); a match carries its tuple.
+    const auto h = m.read<bool, bool>();
+    if (!h || (std::get<0>(*h) && !m.tuple)) {
+      endpoint_.drop_malformed(from);
+      return;
+    }
+    // Stale response to a finished operation. If it carried a match the
+    // responder is holding a tentative tuple for us: release it.
+    if (!correlator_.route(from, m) && std::get<0>(*h)) {
+      send_release(from, m.op_id);
     }
   });
   endpoint_.on(net::kCancelOp, [this](transport::NodeId from, const Message& m) {
@@ -69,27 +58,39 @@ void Instance::install_handlers() {
   endpoint_.on(net::kRemoteOut, [this](transport::NodeId from, const Message& m) {
     serve_remote_out(from, m);
   });
-  endpoint_.on(net::kRemoteOutAck, [this](transport::NodeId, const Message& m) {
-    if (!m.headers.empty() && m.hbool(0)) router_.acked(m.op_id);
+  endpoint_.on(net::kRemoteOutAck, [this](transport::NodeId from, const Message& m) {
+    const auto accepted = m.read<bool>();
+    if (!accepted) {
+      endpoint_.drop_malformed(from);
+      return;
+    }
+    if (std::get<0>(*accepted)) router_.acked(m.op_id);
   });
   endpoint_.on(net::kRemoteEval, [this](transport::NodeId from, const Message& m) {
     serve_remote_eval(from, m);
   });
   endpoint_.on(net::kRemoteEvalAck,
                [this](transport::NodeId from, const Message& m) {
+                 if (!m.read<bool>()) {
+                   endpoint_.drop_malformed(from);
+                   return;
+                 }
                  correlator_.route(from, m);
                });
 }
 
 void Instance::serve_op_request(transport::NodeId from, const Message& m) {
-  // Checked before any lease is negotiated: a malformed request must not
-  // hold serving resources, and a wrong-typed header must not throw.
-  if (!well_formed_op_request(m)) {
+  // (op kind, requester deadline) and a pattern. Checked before any lease
+  // is negotiated: a malformed request must not hold serving resources.
+  const auto h = m.read<std::int64_t, std::int64_t>();
+  if (!h || !m.pattern ||
+      std::get<0>(*h) < static_cast<std::int64_t>(OpKind::kRd) ||
+      std::get<0>(*h) > static_cast<std::int64_t>(OpKind::kInp)) {
     endpoint_.drop_malformed(from);
     return;
   }
-  const auto kind = static_cast<OpKind>(m.hint(0));
-  const transport::Time requester_deadline = decode_deadline(m.hint(1));
+  const auto kind = static_cast<OpKind>(std::get<0>(*h));
+  const transport::Time requester_deadline = decode_deadline(std::get<1>(*h));
   const transport::NodeId origin = m.origin != transport::kNoNode ? m.origin : from;
   const std::uint64_t op_id = m.op_id;
   const std::uint64_t key = serving_key(origin, op_id);
@@ -327,8 +328,12 @@ void Instance::serve_release(transport::NodeId from, const Message& m) {
 }
 
 void Instance::serve_remote_out(transport::NodeId from, const Message& m) {
-  if (m.headers.empty() || !m.tuple) return;
-  const std::int64_t ttl = m.hint(0);
+  const auto h = m.read<std::int64_t>();  // (ttl) and the tuple
+  if (!h || !m.tuple) {
+    endpoint_.drop_malformed(from);
+    return;
+  }
+  const auto [ttl] = *h;
 
   auto ack = [this, from, &m](bool accepted) {
     Message a;
@@ -360,9 +365,12 @@ void Instance::serve_remote_out(transport::NodeId from, const Message& m) {
 }
 
 void Instance::serve_remote_eval(transport::NodeId from, const Message& m) {
-  if (m.headers.size() < 2 || !m.tuple) return;
-  const std::string& name = m.hstr(0);
-  const std::int64_t ttl = m.hint(1);
+  const auto h = m.read<std::string, std::int64_t>();  // (name, ttl), args
+  if (!h || !m.tuple) {
+    endpoint_.drop_malformed(from);
+    return;
+  }
+  const auto& [name, ttl] = *h;
 
   auto ack = [this, from, &m](bool accepted) {
     Message a;

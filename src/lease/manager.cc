@@ -88,13 +88,27 @@ LeaseManager::~LeaseManager() {
   }
 }
 
-std::optional<LeaseTerms> LeaseManager::agree(const LeaseRequester& requester) {
+ResourceUsage LeaseManager::usage() const {
   ResourceUsage usage;
   if (usage_probe_) usage = usage_probe_();
   usage.active_leases = active_.size();
   usage.active_ops = active_.size();
+  return usage;
+}
 
-  auto offer = policy_->offer(requester.desired(), usage, queue_.now());
+transport::EventId LeaseManager::arm_expiry(LeaseId id, transport::Time when) {
+  return queue_.schedule_at(when, [this, id] {
+    auto it = active_.find(id);
+    if (it == active_.end()) return;
+    auto l = it->second.lease;
+    it->second.expiry_event = transport::kInvalidEvent;
+    l->expire();  // fires end callbacks; bookkeeping below
+    finish_bookkeeping(id, LeaseState::kExpired);
+  });
+}
+
+std::optional<LeaseTerms> LeaseManager::agree(const LeaseRequester& requester) {
+  auto offer = policy_->offer(requester.desired(), usage(), queue_.now());
   if (!offer) {
     if (metrics_.refused_by_policy) ++*metrics_.refused_by_policy;
     return std::nullopt;
@@ -111,17 +125,7 @@ std::shared_ptr<Lease> LeaseManager::grant(const LeaseTerms& terms) {
   auto lease = std::make_shared<Lease>(id, terms, queue_.now());
   Active entry;
   entry.lease = lease;
-  if (terms.ttl) {
-    entry.expiry_event = queue_.schedule_at(
-        lease->expiry_time(), [this, id] {
-          auto it = active_.find(id);
-          if (it == active_.end()) return;
-          auto l = it->second.lease;
-          it->second.expiry_event = transport::kInvalidEvent;
-          l->expire();  // fires end callbacks; bookkeeping below
-          finish_bookkeeping(id, LeaseState::kExpired);
-        });
-  }
+  if (terms.ttl) entry.expiry_event = arm_expiry(id, lease->expiry_time());
   // Bookkeeping when the *holder* ends the lease (release) or it is revoked
   // through the Lease object directly.
   lease->on_end([this, id](LeaseState state) {
@@ -180,16 +184,12 @@ std::optional<transport::Time> LeaseManager::renew(LeaseId id,
   if (!lease->active()) return std::nullopt;
 
   // Re-negotiate the extension against current conditions.
-  ResourceUsage usage;
-  if (usage_probe_) usage = usage_probe_();
-  usage.active_leases = active_.size();
-  usage.active_ops = active_.size();
   const transport::Time now = queue_.now();
   const transport::Duration remaining =
       lease->expiry_time() == transport::kNever ? 0 : lease->expiry_time() - now;
   LeaseTerms ask;
   ask.ttl = (remaining > 0 ? remaining : 0) + extra;
-  auto offer = policy_->offer(ask, usage, now);
+  auto offer = policy_->offer(ask, usage(), now);
   if (!offer || !offer->ttl) return std::nullopt;
 
   // Rebase the lease's TTL at `now` and reschedule expiry.
@@ -198,15 +198,7 @@ std::optional<transport::Time> LeaseManager::renew(LeaseId id,
   if (it->second.expiry_event != transport::kInvalidEvent) {
     queue_.cancel(it->second.expiry_event);
   }
-  it->second.expiry_event =
-      queue_.schedule_at(new_expiry, [this, id] {
-        auto it2 = active_.find(id);
-        if (it2 == active_.end()) return;
-        auto l = it2->second.lease;
-        it2->second.expiry_event = transport::kInvalidEvent;
-        l->expire();
-        finish_bookkeeping(id, LeaseState::kExpired);
-      });
+  it->second.expiry_event = arm_expiry(id, new_expiry);
   TIAMAT_AUDIT_CHECK(audit_check("renew"));
   return new_expiry;
 }

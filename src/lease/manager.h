@@ -101,6 +101,10 @@ class LeaseManager {
 #endif
 
  private:
+  /// The live usage a policy offer is made against.
+  ResourceUsage usage() const;
+  /// Schedules lease `id`'s expiry at `when`.
+  transport::EventId arm_expiry(LeaseId id, transport::Time when);
   void finish_bookkeeping(LeaseId id, LeaseState state);
 
   transport::TimerService& queue_;

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "tuple/codec.h"
@@ -58,17 +60,24 @@ struct Message {
   std::optional<tuples::Tuple> tuple;
   std::optional<tuples::Pattern> pattern;
 
-  // ---- header conveniences ----
   Message& h(tuples::Value v) {
     headers.push_back(std::move(v));
     return *this;
   }
-  std::int64_t hint(std::size_t i) const { return headers.at(i).as_int(); }
-  const std::string& hstr(std::size_t i) const {
-    return headers.at(i).as_string();
+
+  /// The headers as (Ts...): nullopt unless there are exactly
+  /// sizeof...(Ts) of them and header i holds a Ts[i]. A handler reads its
+  /// headers once, at entry, and drops a message that does not fit, so a
+  /// sender's wrong-typed header can never throw.
+  template <typename... Ts>
+  std::optional<std::tuple<Ts...>> read() const {
+    if (headers.size() != sizeof...(Ts)) return std::nullopt;
+    return [this]<std::size_t... I>(std::index_sequence<I...>)
+               -> std::optional<std::tuple<Ts...>> {
+      if (!(headers[I].template get_if<Ts>() && ...)) return std::nullopt;
+      return std::tuple<Ts...>{*headers[I].template get_if<Ts>()...};
+    }(std::index_sequence_for<Ts...>{});
   }
-  bool hbool(std::size_t i) const { return headers.at(i).as_bool(); }
-  double hdouble(std::size_t i) const { return headers.at(i).as_double(); }
 
   std::string to_string() const;
 };

@@ -129,7 +129,6 @@ inline constexpr std::string_view kCatalog[] = {
     "transport.sched.strand_lag_avg_us",
     "transport.sched.strand_lag_max_us",
     "transport.sched.tasks",
-    "transport.sched.tombstones",
     "transport.sched.utilization",
     "transport.unicasts",
     "transport.workers",

@@ -17,8 +17,6 @@ void SchedExporter::update() {
 
     const std::uint64_t tasks = w.tasks - prev.tasks;
     registry_.counter("transport.sched.tasks", labels).add(tasks);
-    registry_.counter("transport.sched.tombstones", labels)
-        .add(w.tombstones - prev.tombstones);
     registry_.counter("transport.sched.cancels", labels)
         .add(w.cancels - prev.cancels);
 

@@ -2,7 +2,7 @@
 //
 // LoopbackTransport keeps its scheduler health in cheap relaxed-atomic
 // cells (queue depth, strand lag, callback busy time, lock contention,
-// timer-cancel tombstones); this exporter folds a sched_stats() snapshot
+// timer cancels); this exporter folds a sched_stats() snapshot
 // into an obs::Registry under the transport.sched.* catalog names, so the
 // numbers flow through the same machinery as every other metric — registry
 // snapshots, TimeSeriesRecorder sampling, `tiamat-inspect sched`.

@@ -1,18 +1,17 @@
 // Deterministic discrete-event queue.
 //
-// Events scheduled for the same instant fire in scheduling order (a strictly
-// increasing sequence number breaks ties), so a run never depends on
-// container iteration order or any other incidental source of
-// nondeterminism.
+// Events scheduled for the same instant fire in scheduling order, so a run
+// never depends on container iteration order or any other incidental source
+// of nondeterminism.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "sim/clock.h"
 #include "transport/timer.h"
+#include "transport/timer_heap.h"
 
 namespace tiamat::sim {
 
@@ -33,14 +32,12 @@ inline constexpr EventId kInvalidEvent = 0;
 /// virtual time, and existing call sites can pass an EventQueue wherever a
 /// TimerService is expected (`schedule_after` is inherited from it).
 ///
-/// Callbacks live in a slab of slots; a 4-ary min-heap orders plain
-/// (when, seq, slot) keys over it, and each live slot records where its key
-/// sits in the heap. `cancel` therefore takes the event out of the heap in
-/// O(log n) and destroys its callback (and whatever the closure captured)
-/// before it returns: a cancelled timer leaves no tombstone. An EventId is
-/// a generation-tagged handle to a slot, not a schedule counter — once its
-/// event fires or is cancelled the slot may be reused, and the old id is
-/// rejected rather than taken for the new event.
+/// It is a virtual clock plus a transport::TimerHeap of callbacks (the same
+/// indexed heap every loopback worker inbox uses): ties on time break in
+/// schedule order, `cancel` takes the event out of the heap in O(log n) and
+/// destroys its callback (and whatever the closure captured) before it
+/// returns, and an EventId is a generation-tagged slot handle, so a fired,
+/// cancelled or reused-slot id is rejected and no id is ever kInvalidEvent.
 class EventQueue final : public transport::TimerService {
  public:
   EventQueue() = default;
@@ -74,40 +71,13 @@ class EventQueue final : public transport::TimerService {
   bool step();
 
   /// Number of pending (scheduled, not yet fired or cancelled) events.
-  std::size_t pending() const { return heap_.size(); }
+  std::size_t pending() const { return events_.size(); }
 
-  bool idle() const { return heap_.empty(); }
+  bool idle() const { return events_.empty(); }
 
  private:
-  static constexpr std::uint32_t kFree = UINT32_MAX;
-
-  struct Key {
-    Time when;
-    std::uint64_t seq;  // schedule order: earlier-scheduled wins a tie
-    std::uint32_t slot;
-    bool before(const Key& o) const {
-      return when != o.when ? when < o.when : seq < o.seq;
-    }
-  };
-  struct Slot {
-    std::function<void()> fn;
-    std::uint32_t pos = kFree;  // index of this slot's key in heap_
-    std::uint32_t gen = 0;      // bumped on release; tags the slot's ids
-  };
-
-  // Heap upkeep: every move of a key also updates its slot's `pos`.
-  void place(std::size_t pos, const Key& key);
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
-  void erase_at(std::size_t pos);
-  // Frees `slot` for reuse, staling its ids, and hands back its callback.
-  std::function<void()> release(std::uint32_t slot);
-
   Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::vector<Key> heap_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  transport::TimerHeap<std::function<void()>> events_;
 };
 
 }  // namespace tiamat::sim

@@ -1,6 +1,7 @@
 #include "transport/loopback_transport.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace tiamat::transport {
@@ -195,14 +196,8 @@ void LoopbackTransport::deliver_one(NodeId from, NodeId to, const Node& dest,
   if (opts_.delivery_jitter > 0) {
     delay += rng_.uniform(0, opts_.delivery_jitter);
   }
-  Task task;
-  task.due = now() + (delay < 0 ? 0 : delay);
-  task.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  task.kind = TaskKind::kDeliver;
-  task.node = to;
-  task.from = from;
-  task.payload = std::move(payload);
-  enqueue(dest.worker, std::move(task));
+  enqueue(dest.worker, now() + std::max<Duration>(delay, 0),
+          Task{.node = to, .from = from, .payload = std::move(payload)});
 }
 
 void LoopbackTransport::send(NodeId from, NodeId to, Payload payload) {
@@ -246,35 +241,22 @@ TimerService& LoopbackTransport::timers(NodeId id) {
 
 TimerId LoopbackTransport::schedule_timer(NodeId node, std::size_t worker,
                                           Time when, std::function<void()> fn) {
-  Task task;
-  const Time t = now();
-  task.due = when < t ? t : when;
-  task.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  task.kind = TaskKind::kTimer;
-  task.node = node;
-  task.timer = next_timer_.fetch_add(1, std::memory_order_relaxed);
-  task.fn = std::move(fn);
-  const TimerId id = task.timer;
-  {
-    Worker& w = *workers_[worker];
-    MutexLock lk(w.mu);
-    w.live_timers.insert(id);
-    w.inbox.push_back(std::move(task));
-    std::push_heap(w.inbox.begin(), w.inbox.end(), TaskLater{});
-    if (w.inbox.size() > w.depth_max) w.depth_max = w.inbox.size();
-  }
-  workers_[worker]->cv.notify_all();
-  return id;
+  return enqueue(worker, std::max(when, now()),
+                 Task{.node = node, .fn = std::move(fn)});
 }
 
 bool LoopbackTransport::cancel_timer(std::size_t worker, TimerId id) {
-  if (id == kInvalidTimer) return false;
   Worker& w = *workers_[worker];
-  MutexLock lk(w.mu);
-  // The heap entry becomes a tombstone, discarded when it surfaces.
-  const bool hit = w.live_timers.erase(id) > 0;
-  if (hit) w.sched.cancels.fetch_add(1, std::memory_order_relaxed);
-  return hit;
+  // Declared before the lock, so the closure is destroyed after it is
+  // released: a capture's destructor may call back into the transport.
+  std::optional<Task> cancelled;
+  {
+    MutexLock lk(w.mu);
+    cancelled = w.inbox.cancel(id);
+  }
+  if (!cancelled) return false;
+  w.sched.cancels.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void LoopbackTransport::post(NodeId id, std::function<void()> fn) {
@@ -285,25 +267,20 @@ void LoopbackTransport::post(NodeId id, std::function<void()> fn) {
     if (it == nodes_.end() || it->second.closed) return;
     worker = it->second.worker;
   }
-  Task task;
-  task.due = now();
-  task.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  task.kind = TaskKind::kPost;
-  task.node = id;
-  task.fn = std::move(fn);
-  enqueue(worker, std::move(task));
+  enqueue(worker, now(), Task{.node = id, .fn = std::move(fn)});
 }
 
-void LoopbackTransport::enqueue(std::size_t worker, Task task) {
+TimerId LoopbackTransport::enqueue(std::size_t worker, Time due, Task task) {
   Worker& w = *workers_[worker];
+  TimerId id;
   {
     MutexLock lk(w.mu);
-    if (w.stop) return;
-    w.inbox.push_back(std::move(task));
-    std::push_heap(w.inbox.begin(), w.inbox.end(), TaskLater{});
-    if (w.inbox.size() > w.depth_max) w.depth_max = w.inbox.size();
+    if (w.stop) return kInvalidTimer;
+    id = w.inbox.push(due, std::move(task));
+    w.depth_max = std::max<std::uint64_t>(w.depth_max, w.inbox.size());
   }
   w.cv.notify_all();
+  return id;
 }
 
 bool LoopbackTransport::wait_until(const std::function<bool()>& pred,
@@ -356,7 +333,6 @@ LoopbackTransport::SchedStats LoopbackTransport::sched_stats() const {
     ws.lag_us_sum = w.sched.lag_sum.load(std::memory_order_relaxed);
     ws.lag_us_max = w.sched.lag_max.load(std::memory_order_relaxed);
     ws.busy_us = w.sched.busy.load(std::memory_order_relaxed);
-    ws.tombstones = w.sched.tombstones.load(std::memory_order_relaxed);
     ws.cancels = w.sched.cancels.load(std::memory_order_relaxed);
     {
       MutexLock lk(w.mu);
@@ -375,8 +351,9 @@ void LoopbackTransport::fence(Worker& w) {
   MutexLock ex(w.exec_mu);
 }
 
-void LoopbackTransport::run_task(Worker& w, Task& task) {
+void LoopbackTransport::run_task(Worker& w, Task task) {
   MutexLock ex(w.exec_mu);
+  const bool delivery = task.from != kNoNode;
   DeliveryHandler handler;
   {
     MutexLock lk(mu_);
@@ -385,10 +362,10 @@ void LoopbackTransport::run_task(Worker& w, Task& task) {
       // Delivery-after-close safety: a payload or timer racing with
       // remove_node is dropped here, on the strand, never observed by
       // protocol code.
-      if (task.kind == TaskKind::kDeliver) ++stats_.drops_dead;
+      if (delivery) ++stats_.drops_dead;
       return;
     }
-    if (task.kind == TaskKind::kDeliver) {
+    if (delivery) {
       if (!it->second.online) {
         ++stats_.drops_dead;
         return;
@@ -397,14 +374,10 @@ void LoopbackTransport::run_task(Worker& w, Task& task) {
       ++stats_.deliveries;
     }
   }
-  switch (task.kind) {
-    case TaskKind::kDeliver:
-      if (handler) handler(task.from, task.payload);
-      break;
-    case TaskKind::kTimer:
-    case TaskKind::kPost:
-      if (task.fn) task.fn();
-      break;
+  if (delivery) {
+    if (handler) handler(task.from, task.payload);
+  } else if (task.fn) {
+    task.fn();
   }
 }
 
@@ -420,21 +393,14 @@ void LoopbackTransport::worker_loop(std::size_t index) {
       w.cv.wait(w.mu);
       continue;
     }
-    const Time due = w.inbox.front().due;
+    const Time due = w.inbox.next_due();
     const Time t = now();
     if (t < due) {
       const Duration wait = std::min(due - t, kMaxSleepSlice);
       w.cv.wait_for(w.mu, std::chrono::microseconds(wait));
       continue;
     }
-    std::pop_heap(w.inbox.begin(), w.inbox.end(), TaskLater{});
-    Task task = std::move(w.inbox.back());
-    w.inbox.pop_back();
-    if (task.kind == TaskKind::kTimer &&
-        w.live_timers.erase(task.timer) == 0) {
-      Worker::SchedCells::bump(w.sched.tombstones);
-      continue;  // cancelled: discard the tombstone
-    }
+    Task task = w.inbox.pop();
     w.mu.unlock();
     t_task_start = t;  // serves now_coarse() for the callback's trace burst
 #if !defined(TIAMAT_OBS_OFF)
@@ -447,7 +413,7 @@ void LoopbackTransport::worker_loop(std::size_t index) {
       w.sched.lag_max.store(lag, std::memory_order_relaxed);  // single writer
     }
 #endif
-    run_task(w, task);
+    run_task(w, std::move(task));
 #if !defined(TIAMAT_OBS_OFF)
     Worker::SchedCells::bump(w.sched.busy,
                              static_cast<std::uint64_t>(now() - t));

@@ -2,12 +2,14 @@
 //
 // The second backend of ROADMAP item 1: the same protocol stack that runs
 // on the deterministic simulator serves real concurrent traffic here. Nodes
-// are multiplexed onto a small pool of worker threads; each node's inbox
-// (deliveries, timers, posted closures) is a time-ordered queue drained by
-// exactly one worker, which is what implements the strand contract from
-// transport/transport.h — per-node callbacks are serialized without any
+// are multiplexed onto a small pool of worker threads; each worker's inbox
+// (deliveries, timers, posted closures of its nodes) is a
+// transport::TimerHeap — the indexed heap sim::EventQueue uses — drained by
+// exactly one thread, which is what implements the strand contract from
+// transport/transport.h: per-node callbacks are serialized without any
 // locking inside protocol code, while distinct nodes run genuinely in
-// parallel. Time is the machine's monotonic clock (microseconds since
+// parallel. A cancelled timer leaves the inbox, closure and all, before
+// cancel returns. Time is the machine's monotonic clock (microseconds since
 // transport construction) behind the transport::Clock abstraction, so
 // protocol code stays wall-clock-free by construction; delivery delay,
 // jitter and loss are configurable to keep the sim's failure modes
@@ -30,10 +32,10 @@
 #include <memory>
 #include <set>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "transport/thread_annotations.h"
+#include "transport/timer_heap.h"
 #include "transport/transport.h"
 
 namespace tiamat::transport {
@@ -103,7 +105,6 @@ class LoopbackTransport final : public Transport {
     std::uint64_t lag_us_sum = 0;       ///< total strand lag
     std::uint64_t lag_us_max = 0;       ///< worst single strand lag
     std::uint64_t busy_us = 0;          ///< time spent inside callbacks
-    std::uint64_t tombstones = 0;       ///< cancelled timer entries discarded
     std::uint64_t cancels = 0;          ///< cancel_timer hits
     std::uint64_t queue_depth = 0;      ///< inbox size right now
     std::uint64_t queue_depth_max = 0;  ///< high-water inbox size
@@ -118,24 +119,13 @@ class LoopbackTransport final : public Transport {
   SchedStats sched_stats() const;
 
  private:
-  enum class TaskKind : std::uint8_t { kDeliver, kTimer, kPost };
-
-  /// One unit of strand work: a delivery, a due timer, or a posted closure.
+  /// One unit of strand work: a delivery of `payload` from `from`, or (with
+  /// `from` kNoNode, which never names a node) a due timer or posted `fn`.
   struct Task {
-    Time due = 0;            ///< transport-time deadline
-    std::uint64_t seq = 0;   ///< global enqueue order; FIFO tie-break
-    TaskKind kind = TaskKind::kPost;
-    NodeId node = kNoNode;   ///< strand owner (the destination)
-    NodeId from = kNoNode;   ///< sender, for deliveries
-    TimerId timer = kInvalidTimer;
-    Payload payload;
-    std::function<void()> fn;
-  };
-  struct TaskLater {
-    bool operator()(const Task& a, const Task& b) const {
-      if (a.due != b.due) return a.due > b.due;
-      return a.seq > b.seq;
-    }
+    NodeId node = kNoNode;  ///< strand owner (the destination)
+    NodeId from = kNoNode;
+    Payload payload = {};
+    std::function<void()> fn = {};
   };
 
   /// One worker thread: the merged, time-ordered inbox of every node strand
@@ -144,9 +134,7 @@ class LoopbackTransport final : public Transport {
   struct Worker {
     Mutex mu;
     CondVar cv;  ///< signaled on enqueue and stop; waits under mu
-    std::vector<Task> inbox TIAMAT_GUARDED_BY(mu);  ///< min-heap by (due, seq)
-    /// Scheduled, not yet fired; a cancelled id's heap entry is a tombstone.
-    std::unordered_set<TimerId> live_timers TIAMAT_GUARDED_BY(mu);
+    TimerHeap<Task> inbox TIAMAT_GUARDED_BY(mu);  ///< by due time, then push
     bool stop TIAMAT_GUARDED_BY(mu) = false;
     std::uint64_t depth_max TIAMAT_GUARDED_BY(mu) = 0;  ///< inbox high water
     /// Scheduler telemetry cells: written by the one worker thread (and
@@ -159,7 +147,6 @@ class LoopbackTransport final : public Transport {
       std::atomic<std::uint64_t> lag_sum{0};
       std::atomic<std::uint64_t> lag_max{0};
       std::atomic<std::uint64_t> busy{0};
-      std::atomic<std::uint64_t> tombstones{0};
       std::atomic<std::uint64_t> cancels{0};  ///< multi-writer: RMW only here
 
       /// Single-writer increment: plain load+store beats `lock xadd` on the
@@ -208,13 +195,16 @@ class LoopbackTransport final : public Transport {
   TimerId schedule_timer(NodeId node, std::size_t worker, Time when,
                          std::function<void()> fn);
   bool cancel_timer(std::size_t worker, TimerId id);
-  void enqueue(std::size_t worker, Task task);
+  /// Pushes `task` due at `due` into the worker's inbox; returns its id
+  /// (kInvalidTimer once the worker has stopped).
+  TimerId enqueue(std::size_t worker, Time due, Task task);
   void deliver_one(NodeId from, NodeId to, const Node& dest, Payload payload)
       TIAMAT_REQUIRES(mu_);
   void worker_loop(std::size_t index);
   /// Runs one task on its strand: exec_mu held across the callback, the
-  /// registry lock only for the closed/online/handler snapshot.
-  void run_task(Worker& w, Task& task) TIAMAT_EXCLUDES(w.mu, w.exec_mu, mu_);
+  /// registry lock only for the closed/online/handler snapshot. Takes the
+  /// task by value, so its closure dies before the caller retakes w.mu.
+  void run_task(Worker& w, Task task) TIAMAT_EXCLUDES(w.mu, w.exec_mu, mu_);
   /// Blocks until no callback of `w`'s strand is in flight. No-op when
   /// already on that strand's worker thread (the caller IS the callback).
   void fence(Worker& w) TIAMAT_EXCLUDES(w.exec_mu);
@@ -232,8 +222,6 @@ class LoopbackTransport final : public Transport {
   Rng rng_ TIAMAT_GUARDED_BY(mu_);
   Stats stats_ TIAMAT_GUARDED_BY(mu_);
 
-  std::atomic<std::uint64_t> next_seq_{1};
-  std::atomic<TimerId> next_timer_{1};
   /// Sender time spent blocked acquiring mu_ (send/multicast contention;
   /// uncontended acquisitions cost no clock read).
   std::atomic<std::uint64_t> lock_wait_us_{0};

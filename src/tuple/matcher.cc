@@ -65,7 +65,6 @@ CompiledPattern::CompiledPattern(Pattern p) : pattern_(std::move(p)) {
     }
   }
   keyed_ = !fields.empty() && fields[0].kind() == Field::Kind::kActual;
-  if (keyed_) key_hash_ = fields[0].actual().hash();
 }
 
 }  // namespace tiamat::tuples

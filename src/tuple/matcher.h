@@ -7,11 +7,10 @@
 // two shared pieces:
 //
 //   CompiledPattern — a pattern with its match plan precomputed: arity,
-//     leading-actual key (and that key's hash), the list of field positions
-//     that actually need checking (wildcards are dropped at compile time)
-//     and the rest mask of its actuals past the key. Candidacy is rejected
-//     on arity without walking fields; bucket probes skip re-checking the
-//     key field.
+//     leading-actual key, the list of field positions that actually need
+//     checking (wildcards are dropped at compile time) and the rest mask of
+//     its actuals past the key. Candidacy is rejected on arity without
+//     walking fields; bucket probes skip re-checking the key field.
 //
 //   field_bit / rest_signature — the slot-signature digest. Each field past
 //     the key sets one of 64 bits, chosen by a digest of its position, type
@@ -65,8 +64,6 @@ class CompiledPattern {
   bool keyed() const { return keyed_; }
   /// The leading actual. Only meaningful when keyed().
   const Value& key() const { return pattern_.fields()[0].actual(); }
-  /// Precomputed hash of key(); saves rehashing on every bucket probe.
-  std::size_t key_hash() const { return key_hash_; }
 
   /// True when every field is a wildcard: any tuple of the right arity
   /// matches, so the engine can skip per-field checks entirely.
@@ -101,7 +98,6 @@ class CompiledPattern {
   Pattern pattern_;
   std::vector<std::uint32_t> checks_;  ///< non-wildcard field positions
   std::uint64_t rest_mask_ = 0;
-  std::size_t key_hash_ = 0;
   bool keyed_ = false;
 };
 

@@ -53,6 +53,13 @@ class Value {
   const std::string& as_string() const { return std::get<std::string>(v_); }
   const Blob& as_blob() const { return std::get<Blob>(v_); }
 
+  /// The held T (one of the variant's alternatives), or nullptr when the
+  /// value holds another type.
+  template <typename T>
+  const T* get_if() const {
+    return std::get_if<T>(&v_);
+  }
+
   /// Approximate in-memory/wire footprint in bytes; the lease subsystem
   /// charges storage budgets with this.
   std::size_t footprint() const;

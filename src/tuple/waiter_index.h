@@ -190,12 +190,6 @@ class WaiterIndex {
     for (const auto& [id, e] : entries_) {
       const CompiledPattern& p = e.pattern;
       if (p.keyed()) {
-        if (ValueHash{}(p.key()) != p.key_hash()) {
-          std::ostringstream os;
-          os << "waiter id " << id << " precomputed key hash is stale";
-          trap("key-hash", os.str());
-          return;
-        }
         bool indexed_here = false;
         auto ait = buckets_.find(p.arity());
         if (ait != buckets_.end()) {

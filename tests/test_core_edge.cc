@@ -134,7 +134,8 @@ TEST(Robustness, GarbageAndForeignMessagesIgnored) {
     w.net.send(attacker, a.node(), net::encode_message(stray));
   }
   w.run_all();
-  EXPECT_EQ(a.metrics().counter("net.decode_failures").value(), 1u);
+  // The garbage, and the headerless kOpResponse (it lacks its flags).
+  EXPECT_EQ(a.metrics().counter("net.decode_failures").value(), 2u);
   // The Peers request.
   EXPECT_GE(a.metrics().counter("net.unhandled").value(), 1u);
   // The instance still works.
@@ -223,6 +224,84 @@ TEST(Robustness, WrongTypedOpRequestHeadersAreDroppedNotThrown) {
   EXPECT_EQ(a.metrics().counter("lease.granted").value(), granted);
   EXPECT_EQ(a.leases().active(), 0u);
   EXPECT_EQ(a.serving_count(), 0u);
+}
+
+// Every other message type a wrong-typed header used to throw
+// std::bad_variant_access out of (an abort in a real program). Each is now
+// one counted drop that touches no op state: an exchange the message
+// answers ends as if it had been lost.
+TEST(Robustness, MistypedHeadersAreDroppedNotThrown) {
+  enum class Exchange { kNone, kDirectedRdp, kEvalAt };
+  struct Case {
+    const char* name;
+    net::MsgType type;
+    std::vector<tuples::Value> headers;
+    bool with_tuple;
+    Exchange answers;  ///< the exchange `a` opens with the attacker first
+  };
+  const Case cases[] = {
+      {"OpResponse for a stale op", net::kOpResponse, {1, 1}, false,
+       Exchange::kNone},
+      {"OpResponse for a live op", net::kOpResponse, {1, 1}, false,
+       Exchange::kDirectedRdp},
+      {"RemoteOutAck with an int", net::kRemoteOutAck, {1}, false,
+       Exchange::kNone},
+      {"RemoteOut with a string ttl", net::kRemoteOut, {"ten"}, true,
+       Exchange::kNone},
+      {"RemoteEval with an int name", net::kRemoteEval, {7, -1}, true,
+       Exchange::kNone},
+      {"RemoteEvalAck for a pending eval_at", net::kRemoteEvalAck, {1}, false,
+       Exchange::kEvalAt},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    World w;
+    Instance a(w.tx, cfg("a"));
+    const transport::NodeId attacker = w.net.add_node();
+    std::uint64_t asked = 0;  // op id of the last request `a` sent
+    w.tx.bind(attacker, [&asked](transport::NodeId, const transport::Payload& p) {
+      if (auto m = net::decode_message(p)) asked = m->op_id;
+    });
+    const space::SpaceHandle there{attacker, "attacker", false};
+    int ended = 0;
+    bool succeeded = false;
+    if (c.answers == Exchange::kDirectedRdp) {
+      ASSERT_TRUE(a.rdp_at(there, Pattern{any_string()},
+                           [&](std::optional<ReadResult> r) {
+                             ++ended;
+                             succeeded = r.has_value();
+                           }));
+    } else if (c.answers == Exchange::kEvalAt) {
+      ASSERT_EQ(a.eval_at(there, "work", Tuple{1},
+                          [&](bool ok) {
+                            ++ended;
+                            succeeded = ok;
+                          }),
+                Status::kOk);
+    }
+    w.run_for(sim::milliseconds(10));  // the request reaches the attacker
+    if (c.answers != Exchange::kNone) {
+      ASSERT_NE(asked, 0u);
+    }
+
+    obs::Counter& dropped = a.metrics().counter("net.decode_failures");
+    const std::uint64_t before = dropped.value();
+    net::Message m;
+    m.type = c.type;
+    m.op_id = c.answers == Exchange::kNone ? 12345 : asked;
+    m.origin = attacker;
+    m.headers = c.headers;
+    if (c.with_tuple) m.tuple = Tuple{"x"};
+    w.net.send(attacker, a.node(), net::encode_message(m));
+    EXPECT_NO_THROW(w.run_all());
+    EXPECT_EQ(dropped.value(), before + 1);
+    if (c.answers != Exchange::kNone) {
+      EXPECT_EQ(ended, 1);
+      EXPECT_FALSE(succeeded);
+    }
+    EXPECT_EQ(a.serving_count(), 0u);
+    EXPECT_EQ(a.out(Tuple{"alive"}), Status::kOk);
+  }
 }
 
 // ---------------- Originator death with tentative outstanding ----------------

@@ -36,10 +36,13 @@ TEST(MessageCodec, RoundTripFull) {
   EXPECT_EQ(back->op_id, m.op_id);
   EXPECT_EQ(back->origin, m.origin);
   ASSERT_EQ(back->headers.size(), 4u);
-  EXPECT_EQ(back->hint(0), 7);
-  EXPECT_EQ(back->hstr(1), "hello");
-  EXPECT_TRUE(back->hbool(2));
-  EXPECT_EQ(back->hdouble(3), 2.5);
+  const auto h = back->read<std::int64_t, std::string, bool, double>();
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(*h, std::make_tuple(std::int64_t{7}, std::string("hello"), true,
+                                2.5));
+  // A wrong count or a wrong type reads nothing.
+  EXPECT_FALSE((back->read<std::int64_t, std::string, bool>()));
+  EXPECT_FALSE((back->read<std::int64_t, std::string, bool, std::int64_t>()));
   EXPECT_EQ(*back->tuple, *m.tuple);
   EXPECT_EQ(*back->pattern, *m.pattern);
 }

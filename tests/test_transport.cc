@@ -228,6 +228,35 @@ TEST_P(TransportConformance, CancelledTimerNeverFires) {
   EXPECT_FALSE(*early);
 }
 
+TEST_P(TransportConformance, CancelDestroysClosureAtOnce) {
+  auto& t = tx();
+  const NodeId a = t.add_node();
+  auto& timers = t.timers(a);
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  const auto id = timers.schedule_after(3600 * transport::kSecond,
+                                        [token] { ++*token; });
+  token.reset();
+  ASSERT_FALSE(watch.expired());  // only the pending closure holds it
+  EXPECT_TRUE(timers.cancel(id));
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST_P(TransportConformance, StaleTimerIdNeverCancelsAReusedSlot) {
+  auto& t = tx();
+  const NodeId a = t.add_node();
+  auto& timers = t.timers(a);
+  const auto stale = timers.schedule_after(3600 * transport::kSecond, [] {});
+  ASSERT_TRUE(timers.cancel(stale));
+  auto fired = std::make_shared<bool>(false);
+  const auto fresh =
+      timers.schedule_after(5 * kMillisecond, [fired] { *fired = true; });
+  EXPECT_NE(fresh, stale);
+  EXPECT_FALSE(timers.cancel(stale));  // must not take `fresh` with it
+  ASSERT_TRUE(t.wait_until([&] { return *fired; }));
+  EXPECT_FALSE(timers.cancel(fresh));  // fired: its id is stale too
+}
+
 TEST_P(TransportConformance, TimerServiceSurvivesRemoveNode) {
   auto& t = tx();
   const NodeId a = t.add_node();
@@ -337,6 +366,29 @@ TEST(LoopbackTransport, TotalLossDropsEverything) {
   const auto s = t.stats();
   EXPECT_EQ(s.deliveries, 0u);
   EXPECT_EQ(s.drops_loss, 32u);
+}
+
+TEST(LoopbackTransport, CancelledTimersLeaveTheInbox) {
+  transport::LoopbackOptions opts;
+  opts.workers = 2;
+  transport::LoopbackTransport t(opts);
+  const NodeId a = t.add_node();
+  auto depth = [&t] {
+    std::uint64_t d = 0;
+    for (const auto& w : t.sched_stats().workers) d += w.queue_depth;
+    return d;
+  };
+  const std::uint64_t before = depth();
+  std::vector<transport::TimerId> ids;
+  for (int i = 0; i < 10000; ++i) {
+    ids.push_back(
+        t.timers(a).schedule_after(3600 * transport::kSecond, [] {}));
+  }
+  EXPECT_EQ(depth(), before + 10000);
+  std::size_t cancelled = 0;
+  for (const auto id : ids) cancelled += t.timers(a).cancel(id) ? 1 : 0;
+  EXPECT_EQ(cancelled, 10000u);
+  EXPECT_EQ(depth(), before);
 }
 
 TEST(LoopbackTransport, ManySendersAllDeliveredAcrossWorkers) {
