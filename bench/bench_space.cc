@@ -1,11 +1,13 @@
 // E12 — §3.1.2: microbenchmarks of the tuple-space engine itself (the one
 // piece the paper calls "a basic, custom built tuple space system"). Real
 // wall-clock measurements: out/rdp/inp throughput vs space size, keyed vs
-// unkeyed pattern matching, waiter wake-up, and codec throughput.
+// unkeyed pattern matching, waiter wake-up, and codec throughput, for bare
+// tuples and for whole wire messages.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_main.h"
+#include "net/message.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "space/local_space.h"
@@ -136,6 +138,49 @@ void BM_CodecDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_CodecDecode)->Arg(16)->Arg(256)->Arg(4096);
+
+// The two commonest wire shapes of perfbench's web_request: shape 0 is a
+// kOpRequest propagating a 3-field pattern, shape 1 a kRemoteOut carrying a
+// 1 KiB page body.
+net::Message web_message(std::int64_t shape) {
+  net::Message m;
+  m.op_id = 0x12345678;
+  m.origin = 7;
+  if (shape == 0) {
+    m.type = net::kOpRequest;
+    m.headers = {std::int64_t{1}, std::int64_t{10'000'000}};  // kind, deadline
+    m.pattern = Pattern{"web:req", any_int(), any_string()};
+  } else {
+    m.type = net::kRemoteOut;
+    m.headers = {std::int64_t{10'000'000}};  // ttl
+    m.tuple = Tuple{"web:resp", 4242, std::string(1024, 'b')};
+  }
+  return m;
+}
+
+void BM_MessageEncode(benchmark::State& state) {
+  const net::Message m = web_message(state.range(0));
+  for (auto _ : state) {
+    auto bytes = net::encode_message(m);
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetLabel(state.range(0) == 0 ? "op_request" : "remote_out");
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(net::encoded_size(m)));
+}
+BENCHMARK(BM_MessageEncode)->Arg(0)->Arg(1);
+
+void BM_MessageDecode(benchmark::State& state) {
+  const auto bytes = net::encode_message(web_message(state.range(0)));
+  for (auto _ : state) {
+    auto back = net::decode_message(bytes);
+    benchmark::DoNotOptimize(back);
+  }
+  state.SetLabel(state.range(0) == 0 ? "op_request" : "remote_out");
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_MessageDecode)->Arg(0)->Arg(1);
 
 void BM_PatternMatch(benchmark::State& state) {
   Tuple t{"tag", 42, 2.5, "http://example.org/page", true};

@@ -12,10 +12,20 @@ namespace {
 // Presence bits for the optional payloads.
 constexpr std::uint8_t kHasTuple = 1 << 0;
 constexpr std::uint8_t kHasPattern = 1 << 1;
+// type (u16), op_id (u64), origin (u32) and the presence flags (u8).
+constexpr std::size_t kFixedBytes = 2 + 8 + 4 + 1;
 }  // namespace
 
+std::size_t encoded_size(const Message& m) {
+  std::size_t n = kFixedBytes + tuples::varint_size(m.headers.size());
+  for (const auto& v : m.headers) n += tuples::encoded_size(v);
+  if (m.tuple) n += tuples::encoded_size(*m.tuple);
+  if (m.pattern) n += tuples::encoded_size(*m.pattern);
+  return n;
+}
+
 Bytes encode_message(const Message& m) {
-  Writer w;
+  Writer w(encoded_size(m));
   w.u16(m.type);
   w.u64(m.op_id);
   w.u32(m.origin);

@@ -3,9 +3,16 @@
 // Every protocol in this repository speaks Messages serialized through the
 // tuple codec, so traffic accounting (bytes, packet counts) is uniform and
 // honest across the compared systems.
+//
+// Layout: type (u16), op_id (u64), origin (u32), presence flags (u8), a
+// varint header count, the headers, then the tuple and pattern if present;
+// scalars little-endian by construction (tuple/codec.h). encode_message
+// writes into one buffer of exactly encoded_size(m) bytes, allocated once:
+// the payload Transport::send takes ownership of.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -82,6 +89,8 @@ struct Message {
   std::string to_string() const;
 };
 
+/// The number of bytes encode_message(m) produces.
+std::size_t encoded_size(const Message& m);
 tuples::Bytes encode_message(const Message& m);
 std::optional<Message> decode_message(const tuples::Bytes& b);
 

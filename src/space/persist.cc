@@ -5,22 +5,26 @@
 namespace tiamat::space {
 
 tuples::Bytes snapshot(const LocalTupleSpace& space, transport::Time now) {
-  tuples::Writer w;
   auto contents = space.snapshot_with_expiry();
   // Handle tuples are identity-bound (they name a node address); a
   // restarted instance publishes a fresh one, so they are not persisted.
   std::erase_if(contents,
                 [](const auto& e) { return is_handle_tuple(e.first); });
+  // 0 = unleased; otherwise remaining ttl + 1 (so a just-expiring tuple is
+  // distinguishable and dropped on restore).
+  auto remaining = [now](transport::Time expiry) -> std::uint64_t {
+    if (expiry == transport::kNever) return 0;
+    const transport::Duration left = expiry - now;
+    return left > 0 ? static_cast<std::uint64_t>(left) + 1 : 1;
+  };
+  std::size_t size = tuples::varint_size(contents.size());
+  for (const auto& [t, expiry] : contents) {
+    size += tuples::varint_size(remaining(expiry)) + tuples::encoded_size(t);
+  }
+  tuples::Writer w(size);
   w.varint(contents.size());
   for (const auto& [t, expiry] : contents) {
-    // 0 = unleased; otherwise remaining ttl + 1 (so a just-expiring tuple
-    // is distinguishable and dropped on restore).
-    std::uint64_t remaining = 0;
-    if (expiry != transport::kNever) {
-      const transport::Duration left = expiry - now;
-      remaining = left > 0 ? static_cast<std::uint64_t>(left) + 1 : 1;
-    }
-    w.varint(remaining);
+    w.varint(remaining(expiry));
     tuples::encode(w, t);
   }
   return std::move(w).take();

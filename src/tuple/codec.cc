@@ -1,42 +1,6 @@
 #include "tuple/codec.h"
 
-#include <cstring>
-
 namespace tiamat::tuples {
-
-void Writer::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Writer::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v));
-  u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void Writer::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void Writer::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void Writer::varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    u8(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  u8(static_cast<std::uint8_t>(v));
-}
-
-void Writer::bytes(const std::uint8_t* data, std::size_t n) {
-  out_.insert(out_.end(), data, data + n);
-}
 
 void Writer::str(const std::string& s) {
   varint(s.size());
@@ -48,51 +12,7 @@ void Writer::blob(const Blob& b) {
   bytes(b.data(), b.size());
 }
 
-void Reader::need(std::size_t n) const {
-  if (remaining() < n) throw DecodeError("truncated input");
-}
-
-std::uint8_t Reader::u8() {
-  need(1);
-  return *data_++;
-}
-
-std::uint16_t Reader::u16() {
-  std::uint16_t lo = u8();
-  std::uint16_t hi = u8();
-  return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-std::uint32_t Reader::u32() {
-  std::uint32_t lo = u16();
-  std::uint32_t hi = u16();
-  return lo | (hi << 16);
-}
-
-std::uint64_t Reader::u64() {
-  std::uint64_t lo = u32();
-  std::uint64_t hi = u32();
-  return lo | (hi << 32);
-}
-
-double Reader::f64() {
-  std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::uint64_t Reader::varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    std::uint8_t b = u8();
-    if (shift >= 63 && (b & 0x7e) != 0) throw DecodeError("varint overflow");
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
+void Reader::fail(const char* what) { throw DecodeError(what); }
 
 std::string Reader::str() {
   std::uint64_t n = varint();
@@ -108,6 +28,25 @@ Blob Reader::blob() {
   Blob b(data_, data_ + n);
   data_ += n;
   return b;
+}
+
+namespace {
+std::size_t length_prefixed_size(std::size_t n) { return varint_size(n) + n; }
+}  // namespace
+
+std::size_t encoded_size(const Value& v) {
+  switch (v.type()) {
+    case Type::kInt:
+    case Type::kDouble:
+      return 1 + 8;
+    case Type::kBool:
+      return 1 + 1;
+    case Type::kString:
+      return 1 + length_prefixed_size(v.as_string().size());
+    case Type::kBlob:
+      return 1 + length_prefixed_size(v.as_blob().size());
+  }
+  return 1;
 }
 
 void encode(Writer& w, const Value& v) {
@@ -148,6 +87,12 @@ Value decode_value(Reader& r) {
   throw DecodeError("bad value tag");
 }
 
+std::size_t encoded_size(const Tuple& t) {
+  std::size_t n = varint_size(t.arity());
+  for (const Value& v : t) n += encoded_size(v);
+  return n;
+}
+
 void encode(Writer& w, const Tuple& t) {
   w.varint(t.arity());
   for (const Value& v : t) encode(w, v);
@@ -160,6 +105,22 @@ Tuple decode_tuple(Reader& r) {
   fields.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) fields.push_back(decode_value(r));
   return Tuple(std::move(fields));
+}
+
+std::size_t encoded_size(const Field& f) {
+  switch (f.kind()) {
+    case Field::Kind::kActual:
+      return 1 + encoded_size(f.actual());
+    case Field::Kind::kFormal:
+      return 1 + 1;
+    case Field::Kind::kWildcard:
+      return 1;
+    case Field::Kind::kRange:
+      return 1 + 8 + 8;
+    case Field::Kind::kPrefix:
+      return 1 + length_prefixed_size(f.prefix_str().size());
+  }
+  return 1;
 }
 
 void encode(Writer& w, const Field& f) {
@@ -208,6 +169,12 @@ Field decode_field(Reader& r) {
   throw DecodeError("bad field tag");
 }
 
+std::size_t encoded_size(const Pattern& p) {
+  std::size_t n = varint_size(p.arity());
+  for (const Field& f : p.fields()) n += encoded_size(f);
+  return n;
+}
+
 void encode(Writer& w, const Pattern& p) {
   w.varint(p.arity());
   for (const Field& f : p.fields()) encode(w, f);
@@ -223,13 +190,13 @@ Pattern decode_pattern(Reader& r) {
 }
 
 Bytes encode_tuple(const Tuple& t) {
-  Writer w;
+  Writer w(encoded_size(t));
   encode(w, t);
   return std::move(w).take();
 }
 
 Bytes encode_pattern(const Pattern& p) {
-  Writer w;
+  Writer w(encoded_size(p));
   encode(w, p);
   return std::move(w).take();
 }

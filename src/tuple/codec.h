@@ -5,10 +5,19 @@
 // benches are honest and corruption/compatibility bugs are caught by tests.
 //
 // Format: little-endian fixed-width scalars, LEB128 varints for lengths,
-// one tag byte per value/field.
+// one tag byte per value/field. The byte order holds by construction on any
+// host: a scalar is split into bytes and rebuilt from them with shifts,
+// never copied in host order.
+//
+// One exactly-sized buffer per encode: each encoder has an encoded_size
+// beside it, and encode_tuple / encode_pattern (like net::encode_message)
+// reserve that size up front, so the buffer is allocated once and never
+// regrown. Each scalar is appended, or bounds-checked and read, in one step.
 
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -29,17 +38,38 @@ class DecodeError : public std::runtime_error {
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Bytes Writer::varint(v) appends: one per started group of 7 bits.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+
+/// The longest varint, UINT64_MAX's: nine 7-bit groups and bit 63.
+inline constexpr std::size_t kMaxVarintBytes = varint_size(UINT64_MAX);
+
 /// Append-only byte sink.
 class Writer {
  public:
+  Writer() = default;
+  /// Reserves `capacity` bytes: an encoder that passes the encoded_size of
+  /// what it writes allocates once and never regrows.
+  explicit Writer(std::size_t capacity) { out_.reserve(capacity); }
+
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { le(v); }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void varint(std::uint64_t v);
-  void bytes(const std::uint8_t* data, std::size_t n);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void varint(std::uint64_t v) {
+    std::uint8_t buf[kMaxVarintBytes] = {};
+    std::size_t n = 0;
+    for (; v >= 0x80; v >>= 7) buf[n++] = static_cast<std::uint8_t>(v) | 0x80;
+    buf[n++] = static_cast<std::uint8_t>(v);
+    bytes(buf, n);
+  }
+  void bytes(const std::uint8_t* data, std::size_t n) {
+    out_.insert(out_.end(), data, data + n);
+  }
   void str(const std::string& s);  ///< varint length + raw bytes
   void blob(const Blob& b);        ///< varint length + raw bytes
 
@@ -48,6 +78,16 @@ class Writer {
   std::size_t size() const { return out_.size(); }
 
  private:
+  /// Appends v's bytes, least significant first.
+  template <typename U>
+  void le(U v) {
+    std::uint8_t buf[sizeof(U)] = {};
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    bytes(buf, sizeof(U));
+  }
+
   Bytes out_;
 };
 
@@ -57,13 +97,26 @@ class Reader {
   Reader(const std::uint8_t* data, std::size_t n) : data_(data), end_(data + n) {}
   explicit Reader(const Bytes& b) : Reader(b.data(), b.size()) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  std::uint8_t u8() {
+    need(1);
+    return *data_++;
+  }
+  std::uint16_t u16() { return le<std::uint16_t>(); }
+  std::uint32_t u32() { return le<std::uint32_t>(); }
+  std::uint64_t u64() { return le<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
-  std::uint64_t varint();
+  double f64() { return std::bit_cast<double>(u64()); }
+  /// At most kMaxVarintBytes bytes, the last of which may carry bit 63
+  /// only: any encoding Writer::varint produces, and nothing that overflows.
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      const std::uint8_t b = u8();
+      if (shift == 63 && b > 1) fail("varint overflow");
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+    }
+  }
   std::string str();
   Blob blob();
 
@@ -71,10 +124,31 @@ class Reader {
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - data_); }
 
  private:
-  void need(std::size_t n) const;
+  [[noreturn]] static void fail(const char* what);
+  void need(std::size_t n) const {
+    if (remaining() < n) fail("truncated input");
+  }
+  /// Reads sizeof(U) bytes, least significant first, after one bounds check.
+  template <typename U>
+  U le() {
+    need(sizeof(U));
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      v |= static_cast<std::uint64_t>(data_[i]) << (8 * i);
+    }
+    data_ += sizeof(U);
+    return static_cast<U>(v);
+  }
+
   const std::uint8_t* data_;
   const std::uint8_t* end_;
 };
+
+/// encoded_size(x) is the number of bytes encode(w, x) appends.
+std::size_t encoded_size(const Value& v);
+std::size_t encoded_size(const Tuple& t);
+std::size_t encoded_size(const Field& f);
+std::size_t encoded_size(const Pattern& p);
 
 void encode(Writer& w, const Value& v);
 void encode(Writer& w, const Tuple& t);

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "net/discovery.h"
 #include "net/endpoint.h"
@@ -11,6 +15,7 @@
 #include "net/responder_cache.h"
 #include "net/rpc.h"
 #include "obs/metrics.h"
+#include "sim/random.h"
 #include "tests/test_util.h"
 
 namespace tiamat::net {
@@ -75,6 +80,297 @@ TEST(MessageCodec, RejectsTrailingGarbage) {
   auto bytes = encode_message(m);
   bytes.push_back(0xFF);
   EXPECT_FALSE(decode_message(bytes).has_value());
+}
+
+std::string hex(const tuples::Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (std::uint8_t c : b) {
+    s += kDigits[c >> 4];
+    s += kDigits[c & 0xF];
+  }
+  return s;
+}
+
+/// `byte` (two hex digits) `n` times.
+std::string hex_run(const std::string& byte, std::size_t n) {
+  std::string s;
+  for (std::size_t i = 0; i < n; ++i) s += byte;
+  return s;
+}
+
+// Every value type, with a string and a blob long enough for two-byte
+// varint lengths.
+Tuple pinned_tuple() {
+  return Tuple{std::int64_t{0x1122334455667788}, -1.25e10, false,
+               std::string(130, 's'), tuples::Blob(200, 0x5A)};
+}
+
+// Every field kind.
+Pattern pinned_pattern() {
+  return Pattern{7, tuples::any_string(), tuples::any(),
+                 tuples::Field::range(-1.5, 2.5),
+                 tuples::Field::prefix("http")};
+}
+
+// The exact bytes of a tuple, a pattern and a message carrying one header of
+// each value type and both payloads. Round trips would survive a consistent
+// change of byte order or tag layout; these strings would not.
+TEST(MessageCodec, WireBytesArePinned) {
+  const std::string tuple_hex =
+      "05"                                     // arity
+      "00" "8877665544332211"                  // int
+      "01" "000000e8764807c2"                  // double -1.25e10
+      "02" "00"                                // bool
+      "03" "8201" + hex_run("73", 130) +       // string, 2-byte length
+      "04" "c801" + hex_run("5a", 200);        // blob, 2-byte length
+  const std::string pattern_hex =
+      "05"                                     // arity
+      "00" "00" "0700000000000000"             // actual int 7
+      "01" "03"                                // formal string
+      "02"                                     // wildcard
+      "03" "000000000000f8bf" "0000000000000440"  // range [-1.5, 2.5]
+      "04" "04" "68747470";                    // prefix "http"
+  const std::string message_hex =
+      "0a00" "efcdab8967452301" "d4c3b2a1"     // type, op_id, origin
+      "03"                                     // has tuple and pattern
+      "05"                                     // header count
+      "00" "feffffffffffffff"                  // int -2
+      "01" "9a9999999999b93f"                  // double 0.1
+      "02" "01"                                // bool
+      "03" "03" "686472"                       // string "hdr"
+      "04" "02" "dead" +                       // blob
+      tuple_hex + pattern_hex;
+
+  EXPECT_EQ(hex(tuples::encode_tuple(pinned_tuple())), tuple_hex);
+  EXPECT_EQ(hex(tuples::encode_pattern(pinned_pattern())), pattern_hex);
+
+  Message m;
+  m.type = kOpRequest;
+  m.op_id = 0x0123456789ABCDEFull;
+  m.origin = 0xA1B2C3D4u;
+  m.h(std::int64_t{-2}).h(0.1).h(true).h("hdr").h(tuples::Blob{0xDE, 0xAD});
+  m.tuple = pinned_tuple();
+  m.pattern = pinned_pattern();
+  EXPECT_EQ(hex(encode_message(m)), message_hex);
+}
+
+// A varint longer than ten bytes, or a tenth byte with more than bit 63,
+// is malformed wherever a varint sits on the wire: a peer controls every
+// count, arity and length.
+TEST(Codec, OverlongVarintRejected) {
+  tuples::Bytes overlong(10, 0x80);  // ten continuation bytes...
+  overlong.push_back(0x00);          // ...then a terminator
+  tuples::Bytes wide(9, 0xFF);       // a tenth byte carrying bit 64
+  wide.push_back(0x02);
+  for (const tuples::Bytes& bad : {overlong, wide}) {
+    tuples::Reader r(bad);
+    EXPECT_THROW(r.varint(), tuples::DecodeError) << hex(bad);
+    // As a tuple's arity.
+    EXPECT_FALSE(tuples::try_decode_tuple(bad).has_value()) << hex(bad);
+    // As a message's header count, the last byte of an empty message.
+    Message m;
+    m.type = kProbe;
+    tuples::Bytes msg = encode_message(m);
+    msg.pop_back();
+    msg.insert(msg.end(), bad.begin(), bad.end());
+    EXPECT_FALSE(decode_message(msg).has_value()) << hex(bad);
+  }
+
+  // Every encoding the writer produces still reads back, and so does a
+  // zero-padded ten-byte one.
+  for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{127},
+                          std::uint64_t{128}, std::uint64_t{1} << 63,
+                          UINT64_MAX}) {
+    tuples::Writer w;
+    w.varint(v);
+    tuples::Reader r(w.data());
+    EXPECT_EQ(r.varint(), v);
+    EXPECT_TRUE(r.done());
+  }
+  tuples::Bytes padded(9, 0x80);
+  padded.push_back(0x01);
+  tuples::Reader r(padded);
+  EXPECT_EQ(r.varint(), std::uint64_t{1} << 63);
+  EXPECT_TRUE(r.done());
+}
+
+// String, blob and prefix lengths run 0..300, across the one/two-byte varint
+// length boundary at 128.
+tuples::Value random_value(sim::Rng& rng) {
+  switch (rng.uniform(0, 4)) {
+    case 0:
+      return rng.uniform(INT64_MIN, INT64_MAX);
+    case 1:
+      return rng.real(-1e9, 1e9);
+    case 2:
+      return rng.chance(0.5);
+    case 3:
+      return std::string(rng.index(301), 'q');
+    default:
+      return tuples::Blob(rng.index(301), 0xB7);
+  }
+}
+
+tuples::Field random_field(sim::Rng& rng) {
+  switch (rng.uniform(0, 4)) {
+    case 0:
+      return random_value(rng);
+    case 1:
+      return tuples::Field::formal(static_cast<tuples::Type>(rng.uniform(0, 4)));
+    case 2:
+      return tuples::any();
+    case 3:
+      return tuples::Field::range(rng.real(-10, 0), rng.real(0, 10));
+    default:
+      return tuples::Field::prefix(std::string(rng.index(301), 'p'));
+  }
+}
+
+Tuple random_tuple(sim::Rng& rng) {
+  std::vector<tuples::Value> fields(rng.index(7));
+  for (auto& v : fields) v = random_value(rng);
+  return Tuple(std::move(fields));
+}
+
+Pattern random_pattern(sim::Rng& rng) {
+  std::vector<tuples::Field> fields;
+  for (auto n = rng.index(7); n > 0; --n) fields.push_back(random_field(rng));
+  return Pattern(std::move(fields));
+}
+
+// encoded_size(x) is the length of x's encoding, and an encoder that
+// reserves it never grows its buffer past that (capacity() == size() under
+// libstdc++, whose reserve allocates exactly what it is asked for).
+TEST(Codec, EncodedSizeIsExact) {
+  auto expect_exact = [](std::size_t size, const tuples::Bytes& b) {
+    EXPECT_EQ(b.size(), size);
+    EXPECT_EQ(b.capacity(), size);
+  };
+  sim::Rng rng(4099);
+  for (int i = 0; i < 500; ++i) {
+    const tuples::Value v = random_value(rng);
+    tuples::Writer wv(tuples::encoded_size(v));
+    tuples::encode(wv, v);
+    expect_exact(tuples::encoded_size(v), wv.data());
+
+    const tuples::Field f = random_field(rng);
+    tuples::Writer wf(tuples::encoded_size(f));
+    tuples::encode(wf, f);
+    expect_exact(tuples::encoded_size(f), wf.data());
+
+    const Tuple t = random_tuple(rng);
+    expect_exact(tuples::encoded_size(t), tuples::encode_tuple(t));
+    const Pattern p = random_pattern(rng);
+    expect_exact(tuples::encoded_size(p), tuples::encode_pattern(p));
+
+    Message m;
+    m.type = static_cast<std::uint16_t>(rng.uniform(0, UINT16_MAX));
+    m.op_id = static_cast<std::uint64_t>(rng.uniform(INT64_MIN, INT64_MAX));
+    m.origin = static_cast<std::uint32_t>(rng.uniform(0, UINT32_MAX));
+    for (auto n = rng.index(5); n > 0; --n) m.h(random_value(rng));
+    if (rng.chance(0.5)) m.tuple = random_tuple(rng);
+    if (rng.chance(0.5)) m.pattern = random_pattern(rng);
+    expect_exact(encoded_size(m), encode_message(m));
+  }
+  // varint_size on both sides of every 7-bit group boundary.
+  for (unsigned bits = 1; bits < 64; ++bits) {
+    for (std::uint64_t v : {(std::uint64_t{1} << bits) - 1,
+                            std::uint64_t{1} << bits}) {
+      tuples::Writer w;
+      w.varint(v);
+      EXPECT_EQ(w.size(), tuples::varint_size(v)) << v;
+    }
+  }
+  EXPECT_EQ(tuples::varint_size(0), 1u);
+  EXPECT_EQ(tuples::varint_size(UINT64_MAX), tuples::kMaxVarintBytes);
+}
+
+// One message of each shape Tiamat's core and discovery send.
+std::vector<Message> tiamat_message_shapes() {
+  auto msg = [](std::uint16_t type) {
+    Message m;
+    m.type = type;
+    m.op_id = 0x1234;
+    m.origin = 3;
+    return m;
+  };
+  std::vector<Message> out;
+  for (std::uint16_t t : {kProbe, kProbeReply, kConfirm, kRelease, kCancelOp,
+                          kConfirmAck}) {
+    out.push_back(msg(t));
+  }
+  Message request = msg(kOpRequest);  // (kind, deadline), pattern
+  request.h(std::int64_t{3}).h(std::int64_t{2'000'000});
+  request.pattern = Pattern{"page", tuples::any_string(), tuples::any()};
+  out.push_back(request);
+  Message found = msg(kOpResponse);  // (found, serving), tuple
+  found.h(true).h(true);
+  found.tuple = Tuple{"page", "http://a/b", tuples::Blob(300, 0x42)};
+  out.push_back(found);
+  Message missed = msg(kOpResponse);
+  missed.h(false).h(true);
+  out.push_back(missed);
+  Message remote_out = msg(kRemoteOut);  // (ttl), tuple
+  remote_out.h(std::int64_t{-1});
+  remote_out.tuple = Tuple{"body", 1.5, tuples::Blob(1024, 0x07)};
+  out.push_back(remote_out);
+  Message remote_eval = msg(kRemoteEval);  // (name, ttl), args
+  remote_eval.h("square").h(std::int64_t{5000});
+  remote_eval.tuple = Tuple{12};
+  out.push_back(remote_eval);
+  for (std::uint16_t t : {kRemoteOutAck, kRemoteEvalAck}) {  // (accepted)
+    Message ack = msg(t);
+    ack.h(false);
+    out.push_back(ack);
+  }
+  return out;
+}
+
+// Truncated, bit-flipped and extended encodings of every message shape
+// decode to a message or to nullopt; nothing escapes the decoder. A message
+// that does decode re-encodes to at most the bytes it came from, and that
+// encoding is stable.
+TEST(MessageCodec, MutatedEncodingsNeverCrash) {
+  sim::Rng rng(7919);
+  std::size_t decoded = 0, rejected = 0;
+  for (const Message& shape : tiamat_message_shapes()) {
+    const tuples::Bytes clean = encode_message(shape);
+    for (int i = 0; i < 400; ++i) {
+      tuples::Bytes b = clean;
+      switch (rng.uniform(0, 2)) {
+        case 0:
+          b.resize(rng.index(b.size()));
+          break;
+        case 1:
+          for (auto k = rng.uniform(1, 4); k > 0; --k) {
+            b[rng.index(b.size())] ^=
+                static_cast<std::uint8_t>(rng.uniform(1, 255));
+          }
+          break;
+        default:
+          for (auto k = rng.uniform(1, 16); k > 0; --k) {
+            b.push_back(static_cast<std::uint8_t>(rng.uniform(0, 255)));
+          }
+          break;
+      }
+      std::optional<Message> back;
+      ASSERT_NO_THROW(back = decode_message(b)) << hex(b);
+      if (!back) {
+        ++rejected;
+        continue;
+      }
+      ++decoded;
+      const tuples::Bytes again = encode_message(*back);
+      EXPECT_LE(again.size(), b.size()) << hex(b);
+      const auto twice = decode_message(again);
+      ASSERT_TRUE(twice.has_value()) << hex(b);
+      EXPECT_EQ(encode_message(*twice), again) << hex(b);
+    }
+  }
+  // Both outcomes occur, so the mutations reach past the first check.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------- Endpoint ----------------
