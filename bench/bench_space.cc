@@ -1,14 +1,18 @@
 // E12 — §3.1.2: microbenchmarks of the tuple-space engine itself (the one
 // piece the paper calls "a basic, custom built tuple space system"). Real
 // wall-clock measurements: out/rdp/inp throughput vs space size, keyed vs
-// unkeyed pattern matching, waiter wake-up, and codec throughput, for bare
-// tuples and for whole wire messages.
+// unkeyed pattern matching, waiter wake-up, codec throughput, for bare
+// tuples and for whole wire messages, and the simulated network carrying
+// those messages.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "bench/bench_main.h"
 #include "net/message.h"
 #include "sim/event_queue.h"
+#include "sim/network.h"
 #include "sim/random.h"
 #include "space/local_space.h"
 #include "tuple/codec.h"
@@ -181,6 +185,68 @@ void BM_MessageDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_MessageDecode)->Arg(0)->Arg(1);
+
+// A 6-node LAN (no radio range) with the default LinkModel, each node's
+// handler counting the bytes it receives.
+struct SimLan {
+  sim::EventQueue queue;
+  sim::Rng rng{1};
+  sim::Network net{queue, rng};
+  std::vector<sim::NodeId> ids;
+  std::uint64_t received = 0;
+
+  SimLan() {
+    for (int i = 0; i < 6; ++i) {
+      ids.push_back(net.add_node());
+      net.bind(ids.back(), [this](sim::NodeId, const sim::Payload& p) {
+        received += p.size();
+      });
+    }
+  }
+};
+
+// One unicast plus its delivery; the payload is BM_MessageEncode's message of
+// the same shape (49 B and 1,072 B), copied each iteration as an encode would
+// hand a fresh buffer to the transport.
+void BM_SimUnicast(benchmark::State& state) {
+  SimLan lan;
+  const sim::Payload payload = net::encode_message(web_message(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    lan.net.send(lan.ids[i % 6], lan.ids[(i + 1) % 6], payload);
+    lan.queue.step();
+    benchmark::DoNotOptimize(lan.received);
+    ++i;
+  }
+  if (lan.received != i * payload.size()) state.SkipWithError("lost a packet");
+  state.SetLabel(state.range(0) == 0 ? "op_request" : "remote_out");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimUnicast)->Arg(0)->Arg(1);
+
+// One discovery probe multicast to a group of 5 members and its 5 deliveries.
+void BM_SimMulticast(benchmark::State& state) {
+  SimLan lan;
+  constexpr sim::GroupId kGroup = 1;
+  for (std::size_t n = 1; n < lan.ids.size(); ++n) {
+    lan.net.join_group(lan.ids[n], kGroup);
+  }
+  net::Message probe;
+  probe.type = net::kProbe;
+  probe.op_id = 1;
+  probe.origin = lan.ids[0];
+  const sim::Payload payload = net::encode_message(probe);
+  for (auto _ : state) {
+    lan.net.multicast(lan.ids[0], kGroup, payload);
+    lan.queue.run_until_idle();
+    benchmark::DoNotOptimize(lan.received);
+  }
+  if (lan.received != state.iterations() * 5 * payload.size()) {
+    state.SkipWithError("lost a packet");
+  }
+  state.SetItemsProcessed(state.iterations() * 5);
+}
+BENCHMARK(BM_SimMulticast);
 
 void BM_PatternMatch(benchmark::State& state) {
   Tuple t{"tag", 42, 2.5, "http://example.org/page", true};

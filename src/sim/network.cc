@@ -12,28 +12,34 @@ double distance(const Position& a, const Position& b) {
 }
 
 Network::Network(EventQueue& queue, Rng& rng, LinkModel model)
-    : queue_(queue), rng_(rng), model_(model) {}
+    : queue_(queue), rng_(rng), model_(model), nodes_(1) {}
 
 NodeId Network::add_node(Position pos) {
-  NodeId id = next_id_++;
-  NodeState& n = nodes_[id];
-  n.pos = pos;
-  n.incarnation = ++incarnations_[id];
+  const auto id = static_cast<NodeId>(nodes_.size());
+  nodes_.emplace_back();
+  add_node_at(id, pos);  // the new entry's first incarnation
   return id;
 }
 
 bool Network::add_node_at(NodeId id, Position pos) {
-  if (nodes_.contains(id)) return false;
-  auto it = incarnations_.find(id);
-  if (it == incarnations_.end()) return false;  // never allocated
+  // Rejects a live id, and one add_node never allocated.
+  if (id == kNoNode || id >= nodes_.size() || nodes_[id].present) return false;
   NodeState& n = nodes_[id];
+  n.present = true;
+  n.online = true;
   n.pos = pos;
-  n.incarnation = ++it->second;
+  ++n.incarnation;
   return true;
 }
 
 void Network::remove_node(NodeId id) {
-  if (nodes_.erase(id) == 0) return;
+  NodeState* n = find(id);
+  if (n == nullptr) return;
+  // The entry stays for its incarnation; a restart starts with no handler
+  // and no groups.
+  n->present = false;
+  n->handler = nullptr;
+  n->groups.clear();
   // A dead node keeps no scripted links: if the id is ever re-added it must
   // start from a clean visibility state, not inherit its past overrides.
   for (auto it = overrides_.begin(); it != overrides_.end();) {
@@ -48,23 +54,21 @@ void Network::remove_node(NodeId id) {
 }
 
 void Network::set_online(NodeId id, bool online) {
-  auto it = nodes_.find(id);
-  if (it != nodes_.end()) it->second.online = online;
+  if (NodeState* n = find(id)) n->online = online;
 }
 
 bool Network::online(NodeId id) const {
-  auto it = nodes_.find(id);
-  return it != nodes_.end() && it->second.online;
+  const NodeState* n = find(id);
+  return n != nullptr && n->online;
 }
 
 void Network::set_position(NodeId id, Position pos) {
-  auto it = nodes_.find(id);
-  if (it != nodes_.end()) it->second.pos = pos;
+  if (NodeState* n = find(id)) n->pos = pos;
 }
 
 Position Network::position(NodeId id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? Position{} : it->second.pos;
+  const NodeState* n = find(id);
+  return n == nullptr ? Position{} : n->pos;
 }
 
 std::uint64_t Network::link_key(NodeId a, NodeId b) {
@@ -81,39 +85,38 @@ void Network::clear_link_override(NodeId a, NodeId b) {
 }
 
 bool Network::visible(NodeId a, NodeId b) const {
-  if (a == b) return node_exists(a) && online(a);
-  auto ia = nodes_.find(a);
-  auto ib = nodes_.find(b);
-  if (ia == nodes_.end() || ib == nodes_.end()) return false;
-  if (!ia->second.online || !ib->second.online) return false;
-  auto ov = overrides_.find(link_key(a, b));
-  if (ov != overrides_.end()) return ov->second;
+  const NodeState* na = find(a);
+  const NodeState* nb = find(b);
+  if (na == nullptr || nb == nullptr || !na->online || !nb->online) {
+    return false;
+  }
+  if (a == b) return true;
+  if (!overrides_.empty()) {
+    auto ov = overrides_.find(link_key(a, b));
+    if (ov != overrides_.end()) return ov->second;
+  }
   if (radio_range_ <= 0.0) return true;
-  return distance(ia->second.pos, ib->second.pos) <= radio_range_;
+  return distance(na->pos, nb->pos) <= radio_range_;
 }
 
 std::vector<NodeId> Network::visible_from(NodeId id) const {
   std::vector<NodeId> out;
-  for (const auto& [other, state] : nodes_) {
-    (void)state;
+  for (NodeId other = 1; other < nodes_.size(); ++other) {
     if (other != id && visible(id, other)) out.push_back(other);
   }
   return out;
 }
 
 void Network::bind(NodeId id, DeliveryHandler handler) {
-  auto it = nodes_.find(id);
-  if (it != nodes_.end()) it->second.handler = std::move(handler);
+  if (NodeState* n = find(id)) n->handler = std::move(handler);
 }
 
 void Network::join_group(NodeId id, GroupId group) {
-  auto it = nodes_.find(id);
-  if (it != nodes_.end()) it->second.groups.insert(group);
+  if (NodeState* n = find(id)) n->groups.insert(group);
 }
 
 void Network::leave_group(NodeId id, GroupId group) {
-  auto it = nodes_.find(id);
-  if (it != nodes_.end()) it->second.groups.erase(group);
+  if (NodeState* n = find(id)) n->groups.erase(group);
 }
 
 Duration Network::transmission_delay(std::size_t bytes) {
@@ -124,9 +127,31 @@ Duration Network::transmission_delay(std::size_t bytes) {
 }
 
 void Network::account_link(NodeId from, NodeId to, std::size_t bytes) {
-  LinkStats& ls = link_stats_[{from, to}];
-  ++ls.messages;
-  ls.bytes += bytes;
+  LinkStats* ls = nullptr;
+  if (from < nodes_.size() && to < nodes_.size()) {
+    if (links_.size() <= from) links_.resize(nodes_.size());
+    std::vector<LinkStats>& row = links_[from];
+    if (row.size() <= to) row.resize(nodes_.size());
+    ls = &row[to];
+  } else {
+    ls = &stray_links_[{from, to}];
+  }
+  ++ls->messages;
+  ls->bytes += bytes;
+}
+
+LinkLedger Network::link_stats() const {
+  LinkLedger out = stray_links_;
+  for (NodeId from = 0; from < links_.size(); ++from) {
+    const std::vector<LinkStats>& row = links_[from];
+    for (NodeId to = 0; to < row.size(); ++to) {
+      if (row[to].messages == 0) continue;
+      LinkStats& ls = out[{from, to}];
+      ls.messages += row[to].messages;
+      ls.bytes += row[to].bytes;
+    }
+  }
+  return out;
 }
 
 void Network::deliver_later(NodeId from, NodeId to, Payload payload) {
@@ -136,29 +161,39 @@ void Network::deliver_later(NodeId from, NodeId to, Payload payload) {
     ++stats_.drops_loss;
     return;
   }
-  Duration delay = transmission_delay(payload.size());
-  const auto target = nodes_.find(to);
-  const std::uint64_t incarnation =
-      target == nodes_.end() ? 0 : target->second.incarnation;
-  queue_.schedule_after(
-      delay,
-      [this, from, to, incarnation, payload = std::move(payload)]() mutable {
-        auto it = nodes_.find(to);
-        // A packet addressed to an earlier incarnation of a restarted node
-        // is as dead as one addressed to a removed node.
-        if (it == nodes_.end() || !it->second.online ||
-            it->second.incarnation != incarnation) {
-          ++stats_.drops_dead;
-          return;
-        }
-        // Packets in flight are lost if the pair moved apart before arrival.
-        if (!visible(from, to)) {
-          ++stats_.drops_invisible;
-          return;
-        }
-        ++stats_.deliveries;
-        if (it->second.handler) it->second.handler(from, payload);
-      });
+  const Duration delay = transmission_delay(payload.size());
+  if (free_packets_.empty()) {
+    free_packets_.push_back(static_cast<std::uint32_t>(packets_.size()));
+    packets_.emplace_back();
+  }
+  const std::uint32_t slot = free_packets_.back();
+  free_packets_.pop_back();
+  // Both callers checked that `to` is visible, so its entry is present.
+  packets_[slot] =
+      Packet{from, to, nodes_[to].incarnation, std::move(payload)};
+  // 16 bytes of capture: std::function holds it inline, no allocation.
+  queue_.schedule_after(delay, [this, slot] { arrive(slot); });
+}
+
+void Network::arrive(std::uint32_t slot) {
+  // Free the slot before the handler runs: it may send and reuse it.
+  const Packet packet = std::move(packets_[slot]);
+  free_packets_.push_back(slot);
+  const NodeState* target = find(packet.to);
+  // A packet addressed to an earlier incarnation of a restarted node is as
+  // dead as one addressed to a removed node.
+  if (target == nullptr || !target->online ||
+      target->incarnation != packet.incarnation) {
+    ++stats_.drops_dead;
+    return;
+  }
+  // Packets in flight are lost if the pair moved apart before arrival.
+  if (!visible(packet.from, packet.to)) {
+    ++stats_.drops_invisible;
+    return;
+  }
+  ++stats_.deliveries;
+  if (target->handler) target->handler(packet.from, packet.payload);
 }
 
 void Network::send(NodeId from, NodeId to, Payload payload) {
@@ -174,9 +209,8 @@ void Network::send(NodeId from, NodeId to, Payload payload) {
 
 void Network::multicast(NodeId from, GroupId group, Payload payload) {
   ++stats_.multicasts_sent;
-  for (const auto& [id, state] : nodes_) {
-    if (id == from) continue;
-    if (!state.groups.contains(group)) continue;
+  for (NodeId id = 1; id < nodes_.size(); ++id) {
+    if (id == from || !nodes_[id].groups.contains(group)) continue;
     if (!visible(from, id)) continue;
     deliver_later(from, id, payload);  // copy per receiver
   }
@@ -184,10 +218,8 @@ void Network::multicast(NodeId from, GroupId group, Payload payload) {
 
 std::vector<NodeId> Network::node_ids() const {
   std::vector<NodeId> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, state] : nodes_) {
-    (void)state;
-    out.push_back(id);
+  for (NodeId id = 1; id < nodes_.size(); ++id) {
+    if (nodes_[id].present) out.push_back(id);
   }
   return out;
 }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <unordered_set>
@@ -67,11 +68,29 @@ struct LinkStats {
   std::uint64_t bytes = 0;
 };
 
+/// Per-link traffic keyed by directed (from, to), in ascending order.
+using LinkLedger = std::map<std::pair<NodeId, NodeId>, LinkStats>;
+
 using Payload = std::vector<std::uint8_t>;
 using DeliveryHandler = std::function<void(NodeId from, const Payload&)>;
 
 /// The simulated network. Owns node state (position, liveness, group
 /// membership, delivery handler) and performs all transmission.
+///
+/// Every send checks visibility, and every arrival checks it again, so the
+/// per-message path is a few array reads:
+/// - Nodes live in a table indexed by NodeId (ids are dense from 1 and never
+///   reused). A removed node's entry stays, marked absent, and keeps its
+///   incarnation for add_node_at. The table is a deque, not a vector, because
+///   entries need stable addresses: a delivery handler runs from its node's
+///   entry and may add nodes while it runs.
+/// - A packet in flight waits in a slab slot taken from a free list, and its
+///   delivery event captures only the network and the slot index, which fits
+///   std::function's inline buffer, so a delivery allocates nothing. Arrival
+///   moves the payload out and frees the slot before the handler runs,
+///   because the handler may send and take the same slot.
+/// - The per-link ledger is one dense row per source, indexed by
+///   destination; link_stats() assembles the ordered map when asked.
 class Network {
  public:
   Network(EventQueue& queue, Rng& rng, LinkModel model = {});
@@ -97,7 +116,7 @@ class Network {
   /// clean visibility state.
   void remove_node(NodeId id);
 
-  bool node_exists(NodeId id) const { return nodes_.contains(id); }
+  bool node_exists(NodeId id) const { return find(id) != nullptr; }
 
   /// Radio on/off. An offline node is invisible and receives nothing, but
   /// keeps its state — models a device sleeping or moving out of coverage.
@@ -144,12 +163,14 @@ class Network {
   NetStats& stats() { return stats_; }
   const NetStats& stats() const { return stats_; }
 
-  /// Per-link traffic, keyed by directed (from, to). Iteration order is
-  /// deterministic (ordered map) so exports are diffable run-over-run.
-  const std::map<std::pair<NodeId, NodeId>, LinkStats>& link_stats() const {
-    return link_stats_;
+  /// Per-link traffic, keyed by directed (from, to), built on each call.
+  /// Iteration order is deterministic (ordered map) so exports are diffable
+  /// run-over-run.
+  LinkLedger link_stats() const;
+  void reset_link_stats() {
+    links_.clear();
+    stray_links_.clear();
   }
-  void reset_link_stats() { link_stats_.clear(); }
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
   Time now() const { return queue_.now(); }
@@ -160,19 +181,35 @@ class Network {
 
  private:
   struct NodeState {
-    Position pos;
+    bool present = false;  ///< false once removed; the entry stays
     bool online = true;
+    Position pos;
     /// Bumped on every (re-)add of this id: a packet captures the target's
     /// incarnation at transmission and is dropped on arrival if the node
     /// was removed (and possibly re-added) in between. A restarted node
     /// never receives traffic addressed to its previous life.
-    std::uint64_t incarnation = 1;
+    std::uint64_t incarnation = 0;
     DeliveryHandler handler;
     std::unordered_set<GroupId> groups;
   };
 
+  /// A transmission between send and arrival.
+  struct Packet {
+    NodeId from = kNoNode;
+    NodeId to = kNoNode;
+    std::uint64_t incarnation = 0;
+    Payload payload;
+  };
+
+  const NodeState* find(NodeId id) const {
+    return id < nodes_.size() && nodes_[id].present ? &nodes_[id] : nullptr;
+  }
+  NodeState* find(NodeId id) {
+    return id < nodes_.size() && nodes_[id].present ? &nodes_[id] : nullptr;
+  }
   Duration transmission_delay(std::size_t bytes);
   void deliver_later(NodeId from, NodeId to, Payload payload);
+  void arrive(std::uint32_t slot);
   void account_link(NodeId from, NodeId to, std::size_t bytes);
   static std::uint64_t link_key(NodeId a, NodeId b);
 
@@ -180,15 +217,20 @@ class Network {
   Rng& rng_;
   LinkModel model_;
   double radio_range_ = 0.0;  // <=0: everyone visible
-  NodeId next_id_ = 1;
-  std::map<NodeId, NodeState> nodes_;  // ordered: deterministic iteration
-  // Last incarnation of every id ever allocated; survives removal so
-  // add_node_at can restart the id with a fresh incarnation.
-  std::map<NodeId, std::uint64_t> incarnations_;
+  // Indexed by NodeId, so the next id is its size; entry 0 (kNoNode) is
+  // never present.
+  std::deque<NodeState> nodes_;
+  // The packet slab: a delivery event names its slot.
+  std::vector<Packet> packets_;
+  std::vector<std::uint32_t> free_packets_;
   // Ordered: remove_node walks this to clear the dead node's entries.
   std::map<std::uint64_t, bool> overrides_;
   NetStats stats_;
-  std::map<std::pair<NodeId, NodeId>, LinkStats> link_stats_;
+  // links_[from][to], rows sized to the node table on demand. A send may
+  // name an id add_node never returned (a reply goes to the origin a
+  // decoded message claims); stray_links_ counts those.
+  std::vector<std::vector<LinkStats>> links_;
+  LinkLedger stray_links_;
 };
 
 }  // namespace tiamat::sim

@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -641,6 +643,203 @@ TEST(Network, DeterministicAcrossRuns) {
   };
   EXPECT_EQ(run(5), run(5));
   EXPECT_NE(run(5), run(6));
+}
+
+// FNV-1a over every value folded in, eight bytes at a time.
+struct Digest {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+// One seeded run through every path of the network, pinned to golden values:
+// jitter and loss draws, a radio range with nodes moving while packets are in
+// flight, scripted link overrides, an offline spell, a crash/restart with
+// packets in flight to the dead incarnation, multicast to a group, and
+// handlers that reply. Any change to which packets arrive, when, or what the
+// ledgers count moves a digest.
+TEST(Network, SeededTrafficIsPinned) {
+  LinkModel m;  // default base latency and per-KiB cost
+  m.jitter = 800;
+  m.loss = 0.05;
+  World w(2024, m);
+  w.net.set_radio_range(40.0);
+  constexpr GroupId kGroup = 5;
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(w.net.add_node({i * 15.0, 0}));
+
+  Digest deliveries;
+  std::uint64_t delivered = 0;
+  auto attach = [&](NodeId n) {
+    w.net.bind(n, [&, n](NodeId from, const Payload& p) {
+      ++delivered;
+      deliveries.add(static_cast<std::uint64_t>(w.net.now()));
+      deliveries.add(from);
+      deliveries.add(n);
+      deliveries.add(p.size());
+      for (std::uint8_t byte : p) deliveries.add(byte);
+      // The first byte is a hop budget: spend one on a reply.
+      if (!p.empty() && p[0] > 0) {
+        Payload reply(p);
+        --reply[0];
+        w.net.send(n, from, std::move(reply));
+      }
+    });
+    if (n % 2 == 0) w.net.join_group(n, kGroup);
+  };
+  for (NodeId n : ids) attach(n);
+
+  for (int t = 0; t < 300; ++t) {
+    w.queue.schedule_at(t * kMillisecond, [&, t] {
+      const NodeId from = ids[t % 6];
+      const NodeId to = ids[(t * 5 + 2) % 6];  // now and then the sender
+      Payload p(1 + (t % 4) * 300, static_cast<std::uint8_t>(t));
+      p[0] = static_cast<std::uint8_t>(t % 3);
+      w.net.send(from, to, std::move(p));
+      if (t % 10 == 0) {
+        w.net.multicast(from, kGroup, Payload{1, static_cast<std::uint8_t>(t)});
+      }
+    });
+  }
+  // Each script step lands half a millisecond after a send, while packets
+  // are in flight.
+  auto at = [&](int ms, std::function<void()> fn) {
+    w.queue.schedule_at(ms * kMillisecond + 500, std::move(fn));
+  };
+  at(20, [&] { w.net.set_position(ids[5], {200, 0}); });
+  at(30, [&] { w.net.set_link(ids[0], ids[5], true); });
+  at(45, [&] { w.net.set_link(ids[1], ids[2], false); });
+  at(60, [&] { w.net.set_position(ids[5], {70, 0}); });
+  at(80, [&] { w.net.set_online(ids[3], false); });
+  at(95, [&] { w.net.set_online(ids[3], true); });
+  at(120, [&] { w.net.clear_link_override(ids[1], ids[2]); });
+  at(150, [&] { w.net.remove_node(ids[2]); });
+  at(151, [&] {
+    ASSERT_TRUE(w.net.add_node_at(ids[2], {30, 0}));
+    attach(ids[2]);
+  });
+  at(200, [&] { w.net.set_position(ids[0], {-30, 0}); });
+  w.run_all();
+
+  EXPECT_EQ(delivered, 560u);
+  EXPECT_EQ(deliveries.h, 14501770216749715952ull);
+  const NetStats& s = w.net.stats();
+  EXPECT_EQ(s.unicasts_sent, 587u);
+  EXPECT_EQ(s.multicasts_sent, 30u);
+  EXPECT_EQ(s.deliveries, delivered);
+  EXPECT_EQ(s.drops_invisible, 56u);
+  EXPECT_EQ(s.drops_loss, 27u);
+  EXPECT_EQ(s.drops_dead, 3u);
+  EXPECT_EQ(s.bytes_sent, 238962u);
+  Digest links;
+  std::size_t link_count = 0;
+  for (const auto& [link, ls] : w.net.link_stats()) {
+    ++link_count;
+    links.add(link.first);
+    links.add(link.second);
+    links.add(ls.messages);
+    links.add(ls.bytes);
+  }
+  EXPECT_EQ(link_count, 20u);
+  EXPECT_EQ(links.h, 5325225161507991229ull);
+  EXPECT_EQ(w.queue.now(), 307652);
+}
+
+// A handler runs from its node's entry while it adds nodes and sends. Neither
+// may move the running handler (a one-pointer closure lives inside its
+// std::function, so moving the entry would move the closure), nor reuse the
+// buffer its payload argument refers to; the asan tree reports either as a
+// use after free.
+TEST(Network, HandlerMayGrowTheTableAndSend) {
+  World w;
+  struct State {
+    World* w;
+    NodeId a;
+    NodeId b;
+    std::vector<NodeId> added;
+    Payload seen;
+  };
+  State st{&w, w.net.add_node(), w.net.add_node(), {}, {}};
+  std::vector<Payload> at_a;
+  w.net.bind(st.a, [&](NodeId, const Payload& p) { at_a.push_back(p); });
+  w.net.bind(st.b, [s = &st](NodeId from, const Payload& p) {
+    for (int i = 0; i < 100; ++i) s->added.push_back(s->w->net.add_node());
+    s->w->net.send(s->b, s->a, Payload(p.size(), 0x11));
+    s->w->net.send(s->b, s->a, Payload{0x22});
+    // Only now read the payload.
+    EXPECT_EQ(from, s->a);
+    s->seen = p;
+  });
+  const Payload sent{1, 2, 3, 4, 5};
+  w.net.send(st.a, st.b, sent);
+  w.run_all();
+  EXPECT_EQ(st.seen, sent);
+  ASSERT_EQ(st.added.size(), 100u);
+  EXPECT_EQ(st.added.front(), st.b + 1);
+  EXPECT_EQ(st.added.back(), st.b + 100);
+  for (NodeId n : st.added) EXPECT_TRUE(w.net.node_exists(n));
+  ASSERT_EQ(at_a.size(), 2u);
+  EXPECT_EQ(at_a[0], Payload(sent.size(), 0x11));
+  EXPECT_EQ(at_a[1], Payload{0x22});
+  EXPECT_EQ(w.net.stats().deliveries, 3u);
+}
+
+// The per-link ledger counts every transmission handed to the medium,
+// delivered or not, per directed (from, to) in ascending order.
+TEST(Network, LinkStatsCountEveryTransmission) {
+  World w;
+  const NodeId a = w.net.add_node();
+  const NodeId b = w.net.add_node();
+  const NodeId c = w.net.add_node();
+  const NodeId d = w.net.add_node();
+  const NodeId never = d + 10;  // no add_node returned it
+  // Delivered, twice on one link.
+  w.net.send(a, b, Payload(3, 0));
+  w.net.send(a, b, Payload(2, 0));
+  // Invisible at send: an offline peer and an id never allocated.
+  w.net.set_online(c, false);
+  w.net.send(a, c, Payload(5, 0));
+  w.net.send(b, never, Payload(4, 0));
+  // Lost on the medium.
+  LinkModel lossy = World::quiet_links();
+  lossy.loss = 1.0;
+  w.net.set_link_model(lossy);
+  w.net.send(b, a, Payload(7, 0));
+  w.net.set_link_model(World::quiet_links());
+  // Dead on arrival: the destination is removed while the packet flies.
+  w.net.send(b, d, Payload(11, 0));
+  w.net.remove_node(d);
+  w.run_all();
+
+  const NetStats& s = w.net.stats();
+  EXPECT_EQ(s.deliveries, 2u);
+  EXPECT_EQ(s.drops_invisible, 2u);
+  EXPECT_EQ(s.drops_loss, 1u);
+  EXPECT_EQ(s.drops_dead, 1u);
+  EXPECT_EQ(s.bytes_sent, 32u);
+  using Row = std::tuple<NodeId, NodeId, std::uint64_t, std::uint64_t>;
+  auto rows = [&] {
+    std::vector<Row> out;
+    for (const auto& [link, ls] : w.net.link_stats()) {
+      out.emplace_back(link.first, link.second, ls.messages, ls.bytes);
+    }
+    return out;
+  };
+  EXPECT_EQ(rows(), (std::vector<Row>{{a, b, 2, 5},
+                                      {a, c, 1, 5},
+                                      {b, a, 1, 7},
+                                      {b, d, 1, 11},
+                                      {b, never, 1, 4}}));
+
+  w.net.reset_link_stats();
+  EXPECT_TRUE(rows().empty());
+  EXPECT_EQ(w.net.stats().bytes_sent, 32u);  // the totals are kept apart
+  w.net.send(a, b, Payload(1, 0));
+  EXPECT_EQ(rows(), (std::vector<Row>{{a, b, 1, 1}}));
 }
 
 // ---------------- Topology ----------------
