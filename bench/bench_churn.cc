@@ -95,6 +95,7 @@ Result run(std::size_t nodes_n, double speed, bool late_arrivals,
   for (auto& n : nodes) {
     expiries += static_cast<double>(n->monitor().counters().lease_expired);
     bench::export_space_memory(*n, scenario);
+    bench::export_leases(*n, scenario);
   }
   // The recorder samples the instances' registries: export (and drop) it
   // before the nodes themselves go away.

@@ -29,7 +29,8 @@ struct Result {
   double blocked_ops_alive_at_end = 0;
 };
 
-Result run(bool leased, int producers, int tuples_each, std::uint64_t seed) {
+Result run(bool leased, int producers, int tuples_each, std::uint64_t seed,
+           const std::string& scenario) {
   World w(seed);
   // The long-lived "kiosk" node whose resources we watch.
   auto cfg = bench::bench_config("kiosk", sim::seconds(5));
@@ -80,16 +81,20 @@ Result run(bool leased, int producers, int tuples_each, std::uint64_t seed) {
   r.final_bytes = static_cast<double>(kiosk.local_space().footprint());
   r.blocked_ops_alive_at_end =
       static_cast<double>(kiosk.serving_count() + kiosk.open_ops());
+  bench::export_space_memory(kiosk, scenario);
+  bench::export_leases(kiosk, scenario);
   return r;
 }
 
 void BM_Leases(benchmark::State& state) {
   const bool leased = state.range(0) != 0;
   const int producers = static_cast<int>(state.range(1));
+  const std::string scenario =
+      (leased ? "leased_p" : "unleased_p") + std::to_string(producers);
   Result r;
   std::uint64_t seed = 11;
   for (auto _ : state) {
-    r = run(leased, producers, 40, seed++);
+    r = run(leased, producers, 40, seed++, scenario);
   }
   state.counters["peak_tuples"] = r.peak_tuples;
   state.counters["final_tuples"] = r.final_tuples;

@@ -2,19 +2,26 @@
 // piece the paper calls "a basic, custom built tuple space system"). Real
 // wall-clock measurements: out/rdp/inp throughput vs space size, keyed vs
 // unkeyed pattern matching, waiter wake-up, codec throughput, for bare
-// tuples and for whole wire messages, and the simulated network carrying
-// those messages.
+// tuples and for whole wire messages, the simulated network carrying those
+// messages, and the lease layer (§2.5): a grant's cost beside a large
+// resident set and the heap a stored tuple's lease adds.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_main.h"
+#include "core/instance.h"
+#include "lease/manager.h"
 #include "net/message.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/random.h"
 #include "space/local_space.h"
+#include "transport/sim_transport.h"
 #include "tuple/codec.h"
 
 namespace {
@@ -259,6 +266,102 @@ void BM_PatternMatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PatternMatch);
+
+// ---- The lease layer --------------------------------------------------------
+
+// A LeaseManager on a sim queue that already holds `resident` leases with a
+// TTL longer than any run, each owned like a stored tuple (local_pair's
+// resident set is 40,960 of them).
+struct LeaseBed {
+  sim::EventQueue queue;
+  lease::LeaseManager leases{queue, std::make_unique<lease::AcceptAllPolicy>()};
+
+  explicit LeaseBed(std::int64_t resident) {
+    leases.set_end_hook([](lease::Owner, lease::LeaseState) {});
+    const lease::LeaseTerms forever =
+        lease::for_duration(sim::seconds(1'000'000'000));
+    for (std::int64_t i = 0; i < resident; ++i) {
+      leases.set_owner(leases.grant(forever),
+                       {lease::OwnerKind::kStoredTuple,
+                        static_cast<std::uint64_t>(i)});
+    }
+  }
+};
+
+// An op's lease from grant to release: the expiry timer is pushed and
+// cancelled.
+void BM_LeaseGrantRelease(benchmark::State& state) {
+  LeaseBed bed(state.range(0));
+  const lease::LeaseTerms terms = lease::for_duration(sim::seconds(1));
+  for (auto _ : state) {
+    const lease::LeaseHandle h = bed.leases.grant(terms);
+    bed.leases.set_owner(h, {lease::OwnerKind::kOp, 1});
+    bed.leases.release(h);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LeaseGrantRelease)->Arg(0)->Arg(40960);
+
+// A lease from grant to expiry: its timer is the earliest, so one step of
+// the queue expires it.
+void BM_LeaseGrantExpire(benchmark::State& state) {
+  LeaseBed bed(state.range(0));
+  const lease::LeaseTerms terms = lease::for_duration(1);
+  for (auto _ : state) {
+    bed.leases.set_owner(bed.leases.grant(terms), {lease::OwnerKind::kOp, 1});
+    bed.queue.step();
+  }
+  if (bed.leases.active() != static_cast<std::size_t>(state.range(0))) {
+    state.SkipWithError("a lease outlived its expiry");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LeaseGrantExpire)->Arg(0)->Arg(40960);
+
+// Heap bytes per stored tuple for 40,960 tuples of local_pair's resident
+// shape, stored through an Instance (one lease each) and in a bare
+// LocalTupleSpace, from glibc's mallinfo2: chunks in use, where a request of
+// 128 KiB or more is mapped on its own and not counted (the threshold is
+// pinned, so the figure does not depend on what ran before). Registered
+// last, since the pinned threshold outlives it.
+void BM_StoredTupleFootprint(benchmark::State& state) {
+  constexpr int kTuples = 40960;
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  auto heap_in_use = [] { return static_cast<double>(mallinfo2().uordblks); };
+  auto tuple = [](int i) {
+    return Tuple{"tag-" + std::to_string(i % 640), std::int64_t{i / 640},
+                 std::int64_t{i}};
+  };
+  double instance_bytes = 0;
+  double space_bytes = 0;
+  for (auto _ : state) {
+    sim::EventQueue q;
+    sim::Rng rng(1);
+    sim::Network net(q, rng);
+    transport::SimTransport tx(net);
+    core::Config cfg;
+    cfg.lease_caps.max_ttl = sim::seconds(1'000'000'000);
+    cfg.lease_caps.max_stored_bytes = std::size_t{1} << 40;
+    cfg.lease_caps.max_active_ops = std::size_t{1} << 40;
+    const lease::FlexibleRequester resident{
+        lease::for_duration(sim::seconds(1'000'000'000))};
+    {
+      core::Instance inst(tx, cfg);
+      const double before = heap_in_use();
+      for (int i = 0; i < kTuples; ++i) inst.out(tuple(i), resident);
+      instance_bytes = (heap_in_use() - before) / kTuples;
+    }
+    {
+      LocalTupleSpace space(q, rng);
+      const double before = heap_in_use();
+      for (int i = 0; i < kTuples; ++i) space.out(tuple(i));
+      space_bytes = (heap_in_use() - before) / kTuples;
+    }
+  }
+  state.counters["instance_B_per_tuple"] = instance_bytes;
+  state.counters["space_B_per_tuple"] = space_bytes;
+}
+BENCHMARK(BM_StoredTupleFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -122,6 +122,19 @@ inline void export_space_memory(core::Instance& i,
   r.gauge("space.bytes", l).add(static_cast<double>(m.total_bytes()));
 }
 
+/// Folds one instance's lease ledger (grants, ends by kind, refusals) into
+/// the exportable registry as scenario-labeled counters, summed across the
+/// scenario's instances like export_space_memory.
+inline void export_leases(core::Instance& i, const std::string& scenario) {
+  auto& r = registry();
+  const obs::Labels l{{"scenario", scenario}};
+  for (const char* name :
+       {"lease.granted", "lease.released", "lease.expired", "lease.revoked",
+        "lease.refused_by_policy", "lease.refused_by_requester"}) {
+    r.counter(name, l).add(i.metrics().counter(name).value());
+  }
+}
+
 /// Fold a finished World's network accounting into the exportable registry:
 /// scenario-labeled totals plus per-peer (source node) message/byte counts
 /// aggregated from the per-link ledger.

@@ -85,14 +85,14 @@ grep -q '"engine.bucket_probes"' "${smoke_json}" || {
 python3 scripts/bench_compare.py BENCH_match.json "${smoke_json}" \
   --soft 'counter:*' --gauge-tol 10 --quiet
 
-# Perf-regression gates: bench_flooding, bench_discovery (probe windows) and
-# bench_churn (leases under churn) run entirely in virtual time with fixed
-# seeds (Iterations(1)), so every exported counter and sketch bucket is
-# deterministic — any drift against the committed baseline is a protocol
-# behaviour change (or a change of simulated event order) and hard-fails.
-# Wall-clock noise never enters the comparison (timing lives in
-# google-benchmark output, not the export).
-for bench in flooding discovery churn; do
+# Perf-regression gates: bench_flooding, bench_discovery (probe windows),
+# bench_churn (leases under churn) and bench_leases (E7's lease ledger) run
+# entirely in virtual time with fixed seeds (Iterations(1)), so every
+# exported counter and sketch bucket is deterministic — any drift against
+# the committed baseline is a protocol behaviour change (or a change of
+# simulated event order) and hard-fails. Wall-clock noise never enters the
+# comparison (timing lives in google-benchmark output, not the export).
+for bench in flooding discovery churn leases; do
   echo "== bench_${bench}: perf-regression gate =="
   build/bench/bench_${bench} --json="${gate_dir}/BENCH_${bench}.json" >/dev/null
   python3 scripts/bench_compare.py "BENCH_${bench}.json" \

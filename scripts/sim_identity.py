@@ -8,15 +8,16 @@ Usage, from the repository root:
 The parent revision is exported with `git archive` and the working tree is
 copied (both with the helpers of scripts/perfbench_ab.py) into --workdir
 (outside the repository; default a new temporary directory). Each tree gets
-a RelWithDebInfo build of tiamat-fuzz, bench_churn, bench_discovery and
-bench_flooding, one tree after the other, and then runs:
+a RelWithDebInfo build of tiamat-fuzz, bench_churn, bench_discovery,
+bench_flooding and bench_leases, one tree after the other, and then runs:
 
 - tiamat-fuzz for seeds 7919*k (k = 1..20) under the mixed, calm, crashy,
   hostile and mobile profiles, with --runs 1 --no-shrink; the summary it
   prints is the output;
 - bench_churn --series for BM_Churn/12/0/1; the series document is the
   output;
-- the --json exports of bench_flooding, bench_discovery and bench_churn.
+- the --json exports of bench_flooding, bench_discovery, bench_churn and
+  bench_leases.
 
 Every output of the change is compared byte for byte with the parent's, and
 the first differing line of each differing output is printed. All of these
@@ -35,10 +36,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from perfbench_ab import copy_worktree, export_parent  # noqa: E402
 
 SIDES = ("parent", "change")
-TARGETS = ("tiamat-fuzz", "bench_churn", "bench_discovery", "bench_flooding")
+TARGETS = ("tiamat-fuzz", "bench_churn", "bench_discovery", "bench_flooding",
+           "bench_leases")
 PROFILES = ("mixed", "calm", "crashy", "hostile", "mobile")
 FUZZ_SEEDS = tuple(7919 * k for k in range(1, 21))
-EXPORTS = ("flooding", "discovery", "churn")
+EXPORTS = ("flooding", "discovery", "churn", "leases")
 
 
 def fail(msg):

@@ -78,6 +78,9 @@ Instance::Instance(transport::Transport& tx, Config cfg,
     u.stored_tuples = space_.size();
     return u;
   });
+  leases_.set_end_hook([this](lease::Owner owner, lease::LeaseState state) {
+    lease_ended(owner, state);
+  });
   // If the injected policy is the §5 adaptive one, feed it op outcomes.
   adaptive_ = dynamic_cast<AdaptiveLeasePolicy*>(&leases_.policy());
   // One registry (the Monitor's) aggregates every subsystem's telemetry.
@@ -208,27 +211,21 @@ Status Instance::do_out(Tuple t, const lease::LeaseRequester& requester) {
     ++monitor_.counters().outs_refused;
     return Status::kLeaseRefused;
   }
-  if (!l->charge_bytes(t.footprint())) {
+  if (!leases_.charge_bytes(l, t.footprint())) {
     // "The local space may be refusing to accept the tuple due to resource
     // shortages" (§2.4): the granted byte budget cannot cover the tuple.
     ++monitor_.counters().outs_refused;
-    l->release();
+    leases_.release(l);
     return Status::kRefusedBySpace;
   }
   tuples::TupleId id = space_.out(std::move(t));
   ++monitor_.counters().outs_local;
   if (id == tuples::kNoTuple) {
     // Consumed synchronously by a blocked waiter; storage never happened.
-    l->release();
+    leases_.release(l);
     return Status::kOk;
   }
-  // The tuple lives exactly as long as its storage lease (§2.5): expiry or
-  // revocation reclaims it; an explicit release would leave it (the holder
-  // gave the lease back without asking for reclamation — not used by the
-  // public API, which lets leases run their course).
-  l->on_end([this, id](lease::LeaseState st) {
-    if (st != lease::LeaseState::kReleased) space_.reclaim(id);
-  });
+  leases_.set_owner(l, {lease::OwnerKind::kStoredTuple, id});
   return Status::kOk;
 }
 
@@ -249,15 +246,38 @@ Status Instance::do_eval(space::ActiveTuple at,
     return Status::kLeaseRefused;
   }
   ++monitor_.counters().evals_started;
-  const transport::Time halt_by = l->expiry_time();
+  const transport::Time halt_by = leases_.expiry_time(l);
   // The resultant tuple inherits the operation's lease horizon: "when the
   // lease expires the resultant computation (if it has not already
   // finished) may be halted and the tuple may be removed" (§2.5).
   space::EvalId eid = evals_.submit(std::move(at), halt_by, halt_by);
-  l->on_end([this, eid](lease::LeaseState st) {
-    if (st == lease::LeaseState::kRevoked) evals_.halt(eid);
-  });
+  leases_.set_owner(l, {lease::OwnerKind::kEval, eid});
   return Status::kOk;
+}
+
+void Instance::lease_ended(lease::Owner owner, lease::LeaseState state) {
+  if (state == lease::LeaseState::kReleased) return;
+  switch (owner.kind) {
+    case lease::OwnerKind::kNone:
+      return;
+    case lease::OwnerKind::kStoredTuple:
+      // The tuple lives exactly as long as its storage lease.
+      space_.reclaim(owner.id);
+      return;
+    case lease::OwnerKind::kEval:
+      // An expiry needs nothing here: the engine halts at halt_by, the
+      // lease's own expiry instant.
+      if (state == lease::LeaseState::kRevoked) evals_.halt(owner.id);
+      return;
+    case lease::OwnerKind::kServing:
+      serving_drop(owner.id, true);
+      return;
+    case lease::OwnerKind::kOp:
+      // "The Tiamat instance may stop trying to satisfy the request and,
+      // assuming no match has already been found, return nothing."
+      op_finish(owner.id, std::nullopt);
+      return;
+  }
 }
 
 // ---- Directed out (§2.4) ------------------------------------------------------
@@ -296,11 +316,11 @@ Status Instance::do_directed_out(transport::NodeId dest, Tuple t,
     ++monitor_.counters().outs_refused;
     return Status::kLeaseRefused;
   }
-  const transport::Time expiry = l->expiry_time();
+  const transport::Time expiry = leases_.expiry_time(l);
   // The local negotiation bounds *our* effort; the destination negotiates
   // its own storage lease when the tuple arrives (§2.5: leases are not
   // transferable across instances).
-  l->release();
+  leases_.release(l);
 
   if (tx_.visible(node_, dest)) {
     std::uint64_t route_id = router_.enqueue(dest, std::move(t), expiry);
@@ -352,12 +372,10 @@ Status Instance::eval_at(const space::SpaceHandle& dest,
       return Status::kLeaseRefused;
     }
     ++monitor_.counters().evals_started;
-    const transport::Time halt_by = l->expiry_time();
+    const transport::Time halt_by = leases_.expiry_time(l);
     space::EvalId eid = evals_.submit_fn([c, args] { return c->fn(args); },
                                          c->cost(args), halt_by, halt_by);
-    l->on_end([this, eid](lease::LeaseState st) {
-      if (st == lease::LeaseState::kRevoked) evals_.halt(eid);
-    });
+    leases_.set_owner(l, {lease::OwnerKind::kEval, eid});
     if (done) done(true);
     return Status::kOk;
   }
@@ -368,8 +386,8 @@ Status Instance::eval_at(const space::SpaceHandle& dest,
     if (done) done(false);
     return Status::kLeaseRefused;
   }
-  const transport::Time expiry = l->expiry_time();
-  l->release();  // local effort only; the destination leases the real work
+  const transport::Time expiry = leases_.expiry_time(l);
+  leases_.release(l);  // local effort only; the destination leases the real work
   if (!tx_.visible(node_, dest.node)) {
     ++monitor_.counters().remote_outs_abandoned;
     if (done) done(false);

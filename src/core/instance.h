@@ -237,7 +237,7 @@ class Instance {
     std::uint64_t id = 0;
     OpKind kind{};
     Pattern pattern;
-    std::shared_ptr<lease::Lease> lease;
+    lease::LeaseHandle lease;
     ReadCallback cb;
     transport::Time started_at = 0;
     space::WaiterId local_waiter = space::kNoWaiter;
@@ -269,7 +269,6 @@ class Instance {
   void send_release(transport::NodeId to, std::uint64_t op_id);
   void op_ack_timeout(std::uint64_t op_id, transport::NodeId target);
   void op_finish(std::uint64_t op_id, std::optional<ReadResult> result);
-  void op_lease_ended(std::uint64_t op_id, lease::LeaseState state);
   LogicalOp* find_op(std::uint64_t op_id);
   /// Decides whether a non-blocking op has run out of places to look.
   void op_maybe_conclude_nonblocking(LogicalOp& op);
@@ -279,7 +278,7 @@ class Instance {
     std::uint64_t op_id = 0;         ///< originator's op id
     transport::NodeId origin = transport::kNoNode;
     OpKind kind{};
-    std::shared_ptr<lease::Lease> lease;
+    lease::LeaseHandle lease;
     space::WaiterId waiter = space::kNoWaiter;
     tuples::TupleId tentative = tuples::kNoTuple;
     transport::EventId hold_timer = transport::kInvalidEvent;
@@ -306,6 +305,10 @@ class Instance {
                         std::uint64_t op_id);
   /// Serving table key: origin node + their op id (op ids are per-instance).
   static std::uint64_t serving_key(transport::NodeId origin, std::uint64_t op_id);
+
+  /// The lease manager's end hook: reclaims what an expired or revoked
+  /// lease covered (§2.5). A release needs nothing: its holder let go.
+  void lease_ended(lease::Owner owner, lease::LeaseState state);
 
   Status do_out(Tuple t, const lease::LeaseRequester& requester);
   Status do_eval(space::ActiveTuple at, const lease::LeaseRequester& requester);

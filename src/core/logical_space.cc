@@ -6,7 +6,7 @@
 //        │
 //   inp/rdp: search local space ──hit──> finish(local); the lease is
 //        │ miss                          accounted, never materialised
-//   grant lease (id, expiry timer, table entry) + open the op
+//   grant lease (id, expiry timer, slab record) + open the op
 //        │
 //   rd/in: try local space ──hit──> finish(local)
 //        │ miss: local waiter armed
@@ -63,7 +63,7 @@ bool Instance::start_op(OpKind kind, const Pattern& p, ReadCallback cb,
 
   if (!is_blocking(kind)) {
     // A local hit ends the op, and so its lease, before this call returns:
-    // the lease is accounted but never materialised (no Lease, no expiry
+    // the lease is accounted but never materialised (no record, no expiry
     // timer, no LogicalOp).
     const tuples::CompiledPattern cp(p);
     std::optional<Tuple> t =
@@ -85,7 +85,7 @@ bool Instance::start_op(OpKind kind, const Pattern& p, ReadCallback cb,
 
   auto l = leases_.grant(*terms);
   trace(obs::EventKind::kLeaseGranted, node_, id, transport::kNoNode,
-        static_cast<std::int64_t>(l->id()));
+        static_cast<std::int64_t>(leases_.id(l)));
 
   LogicalOp& op = ops_[id];
   op.id = id;
@@ -94,8 +94,7 @@ bool Instance::start_op(OpKind kind, const Pattern& p, ReadCallback cb,
   op.lease = l;
   op.cb = std::move(cb);
   op.started_at = started_at;
-
-  l->on_end([this, id](lease::LeaseState st) { op_lease_ended(id, st); });
+  leases_.set_owner(l, {lease::OwnerKind::kOp, id});
 
   if (is_blocking(kind)) op_try_local(op);
   // A synchronous local hit finishes the op and erases it from ops_,
@@ -135,7 +134,7 @@ bool Instance::op_at(OpKind kind, const space::SpaceHandle& dest,
     return false;
   }
   trace(obs::EventKind::kLeaseGranted, node_, id, transport::kNoNode,
-        static_cast<std::int64_t>(l->id()));
+        static_cast<std::int64_t>(leases_.id(l)));
   LogicalOp& op = ops_[id];
   op.id = id;
   op.kind = kind;
@@ -144,8 +143,7 @@ bool Instance::op_at(OpKind kind, const space::SpaceHandle& dest,
   op.cb = std::move(cb);
   op.started_at = tx_.now();
   op.directed = true;
-
-  l->on_end([this, id](lease::LeaseState st) { op_lease_ended(id, st); });
+  leases_.set_owner(l, {lease::OwnerKind::kOp, id});
   correlator_.expect(id, [this, id](transport::NodeId from, const Message& m) {
     op_on_response(id, from, m);
     return ops_.contains(id);
@@ -188,7 +186,7 @@ void Instance::op_advance(std::uint64_t op_id) {
     op->contact_queue.erase(op->contact_queue.begin());
     if (target == node_ || op->contacted.contains(target)) continue;
 
-    if (!op->lease->charge_contact()) break;  // contact budget spent
+    if (!leases_.charge_contact(op->lease)) break;  // contact budget spent
     op_contact(*op, target);
     op = find_op(op_id);  // re-find: sends never reenter, but stay safe
     if (op == nullptr || op->done) return;
@@ -203,7 +201,8 @@ void Instance::op_advance(std::uint64_t op_id) {
   // Blocking: if the whole reachable world is armed and the model asks for
   // late arrivals, keep re-probing on a timer. Directed ops never widen.
   if (op->directed) return;
-  if (!op->probed_once && !op->probing && op->lease->contacts_remaining()) {
+  if (!op->probed_once && !op->probing &&
+      leases_.contacts_remaining(op->lease)) {
     op_probe(op_id);
   } else if (cfg_.propagate_to_late_arrivals) {
     op_schedule_repoll(*op);
@@ -219,7 +218,7 @@ void Instance::op_contact(LogicalOp& op, transport::NodeId target) {
   m.op_id = op.id;
   m.origin = node_;
   m.h(static_cast<std::int64_t>(op.kind));
-  m.h(encode_deadline(op.lease->expiry_time()));
+  m.h(encode_deadline(leases_.expiry_time(op.lease)));
   m.pattern = op.pattern;
   endpoint_.send(target, m);
   trace(obs::EventKind::kPeerRequest, node_, op.id, target);
@@ -261,7 +260,7 @@ void Instance::op_schedule_repoll(LogicalOp& op) {
         LogicalOp* o = find_op(id);
         if (o == nullptr || o->done) return;
         o->repoll_timer = transport::kInvalidEvent;
-        if (!o->lease->contacts_remaining()) {
+        if (!leases_.contacts_remaining(o->lease)) {
           // Cannot contact anyone new; keep the armed waiters and stop
           // polling.
           return;
@@ -345,7 +344,8 @@ void Instance::op_maybe_conclude_nonblocking(LogicalOp& op) {
   if (op.probing) return;
   // Directed ops never probe; propagated ops get one probe round if the
   // budget allows.
-  if (!op.directed && !op.probed_once && op.lease->contacts_remaining()) {
+  if (!op.directed && !op.probed_once &&
+      leases_.contacts_remaining(op.lease)) {
     op_probe(op.id);
     return;
   }
@@ -402,7 +402,7 @@ void Instance::op_finish(std::uint64_t op_id,
       ++c.satisfied_remote;
     }
     trace(obs::EventKind::kAccept, node_, op_id, result->source);
-  } else if (op.lease->active()) {
+  } else if (leases_.active(op.lease)) {
     ++c.no_match;
     trace(obs::EventKind::kOpNoMatch, node_, op_id);
   } else {
@@ -414,26 +414,19 @@ void Instance::op_finish(std::uint64_t op_id,
   // §5.4/§5.5: feed the adaptive policy, if installed.
   if (adaptive_ != nullptr) {
     const transport::Duration granted =
-        op.lease->terms().ttl ? *op.lease->terms().ttl : 0;
+        leases_.terms(op.lease).ttl.value_or(0);
     if (result) {
       adaptive_->observe_match(tx_.now() - op.started_at, granted);
-    } else if (!op.lease->active()) {
+    } else if (!leases_.active(op.lease)) {
       adaptive_->observe_expiry();
     }
-    if (!op.lease->contacts_remaining() && !op.lease->active()) {
+    if (!leases_.contacts_remaining(op.lease) && !leases_.active(op.lease)) {
       adaptive_->observe_budget_exhausted(result.has_value());
     }
   }
 
-  if (op.lease->active()) op.lease->release();
+  leases_.release(op.lease);
   if (op.cb) op.cb(std::move(result));
-}
-
-void Instance::op_lease_ended(std::uint64_t op_id, lease::LeaseState state) {
-  if (state == lease::LeaseState::kReleased) return;  // normal completion
-  // Expired or revoked: "the Tiamat instance may stop trying to satisfy the
-  // request and, assuming no match has already been found, return nothing."
-  op_finish(op_id, std::nullopt);
 }
 
 void Instance::send_confirm(std::uint64_t op_id) {

@@ -127,21 +127,21 @@ void Instance::serve_op_request(transport::NodeId from, const Message& m) {
         static_cast<std::int64_t>(kind));
 
   const transport::Time deadline =
-      std::min(requester_deadline, l->expiry_time());
+      std::min(requester_deadline, leases_.expiry_time(l));
 
   switch (kind) {
     case OpKind::kRdp: {
       auto t = space_.rdp(*m.pattern);
       if (t) trace(obs::EventKind::kServeMatch, origin, op_id, origin);
       reply(t.has_value(), true, t);
-      l->release();
+      leases_.release(l);
       return;
     }
     case OpKind::kInp: {
       auto taken = space_.take_tentative(*m.pattern);
       if (!taken) {
         reply(false, true, std::nullopt);
-        l->release();
+        leases_.release(l);
         return;
       }
       trace(obs::EventKind::kServeMatch, origin, op_id, origin);
@@ -166,28 +166,23 @@ void Instance::serve_op_request(transport::NodeId from, const Message& m) {
       // Arm the waiter first; if it fires synchronously the entry must
       // already exist, so stage it before calling into the space.
       serving_[key] = std::move(s);
-      auto fired = std::make_shared<bool>(false);
-      auto wid = space_.rd(
+      const space::WaiterId wid = space_.rd(
           *m.pattern, deadline,
-          [this, key, origin, op_id, reply, fired](std::optional<Tuple> t) {
-            *fired = true;
+          [this, key, origin, op_id, reply](std::optional<Tuple> t) {
             if (t) {
               trace(obs::EventKind::kServeMatch, origin, op_id, origin);
               reply(true, true, t);
             }
             serving_drop(key, false);
           });
-      if (*fired) return;  // matched (or timed out) synchronously
+      // kNoWaiter: the callback already ran (a match, or a passed deadline).
+      if (wid == space::kNoWaiter) return;
       // No immediate match: ack so the originator keeps us on its list.
       reply(false, true, std::nullopt);
       auto it = serving_.find(key);
-      if (it != serving_.end()) {
-        it->second.waiter = wid;
-        auto lease_ref = it->second.lease;
-        lease_ref->on_end([this, key](lease::LeaseState st) {
-          if (st != lease::LeaseState::kReleased) serving_drop(key, true);
-        });
-      }
+      if (it == serving_.end()) return;
+      it->second.waiter = wid;
+      leases_.set_owner(l, {lease::OwnerKind::kServing, key});
       return;
     }
     case OpKind::kIn: {
@@ -206,12 +201,8 @@ void Instance::serve_op_request(transport::NodeId from, const Message& m) {
         reply(false, true, std::nullopt);
       }
       arm_serving_in(key);
-      auto it = serving_.find(key);
-      if (it == serving_.end()) return;  // resolved synchronously
-      auto lease_ref = it->second.lease;
-      lease_ref->on_end([this, key](lease::LeaseState st) {
-        if (st != lease::LeaseState::kReleased) serving_drop(key, true);
-      });
+      if (!serving_.contains(key)) return;  // resolved synchronously
+      leases_.set_owner(l, {lease::OwnerKind::kServing, key});
       return;
     }
   }
@@ -288,7 +279,7 @@ void Instance::serving_drop(std::uint64_t key, bool release_tentative) {
   if (s.tentative != tuples::kNoTuple && release_tentative) {
     serving_reinsert(s.tentative, s.origin, s.op_id);
   }
-  if (s.lease && s.lease->active()) s.lease->release();
+  leases_.release(s.lease);
 }
 
 void Instance::serving_reinsert(tuples::TupleId id, transport::NodeId origin,
@@ -348,18 +339,16 @@ void Instance::serve_remote_out(transport::NodeId from, const Message& m) {
   if (ttl >= 0) want.ttl = ttl;
   want.max_bytes = m.tuple->footprint();
   auto l = leases_.negotiate(lease::FlexibleRequester{want});
-  if (!l || !l->charge_bytes(m.tuple->footprint())) {
-    if (l) l->release();
+  if (!l || !leases_.charge_bytes(l, m.tuple->footprint())) {
+    leases_.release(l);
     ack(false);
     return;
   }
   tuples::TupleId id = space_.out(*m.tuple);
   if (id != tuples::kNoTuple) {
-    l->on_end([this, id](lease::LeaseState st) {
-      if (st != lease::LeaseState::kReleased) space_.reclaim(id);
-    });
+    leases_.set_owner(l, {lease::OwnerKind::kStoredTuple, id});
   } else {
-    l->release();  // consumed synchronously by a waiter
+    leases_.release(l);  // consumed synchronously by a waiter
   }
   ack(true);
 }
@@ -398,13 +387,11 @@ void Instance::serve_remote_eval(transport::NodeId from, const Message& m) {
     return;
   }
   ++monitor_.counters().evals_started;
-  const transport::Time halt_by = l->expiry_time();
+  const transport::Time halt_by = leases_.expiry_time(l);
   const Tuple args = *m.tuple;
   space::EvalId eid = evals_.submit_fn([c, args] { return c->fn(args); },
                                        c->cost(args), halt_by, halt_by);
-  l->on_end([this, eid](lease::LeaseState st) {
-    if (st == lease::LeaseState::kRevoked) evals_.halt(eid);
-  });
+  leases_.set_owner(l, {lease::OwnerKind::kEval, eid});
   ack(true);
 }
 

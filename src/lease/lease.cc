@@ -65,7 +65,10 @@ const char* to_string(LeaseState s) {
 }
 
 Lease::Lease(LeaseId id, LeaseTerms terms, transport::Time granted_at)
-    : id_(id), terms_(std::move(terms)), granted_at_(granted_at) {}
+    : id_(id),
+      terms_(std::move(terms)),
+      granted_at_(granted_at),
+      state_(LeaseState::kActive) {}
 
 transport::Time Lease::expiry_time() const {
   if (!terms_.ttl) return transport::kNever;
@@ -95,20 +98,8 @@ bool Lease::contacts_remaining() const {
          contacts_used_ < *terms_.max_remote_contacts;
 }
 
-void Lease::on_end(std::function<void(LeaseState)> fn) {
-  if (!active()) {
-    fn(state_);  // already finished: fire immediately for composability
-    return;
-  }
-  end_callbacks_.push_back(std::move(fn));
-}
-
 void Lease::finish(LeaseState s) {
-  if (!active()) return;
-  state_ = s;
-  auto callbacks = std::move(end_callbacks_);
-  end_callbacks_.clear();
-  for (auto& cb : callbacks) cb(s);
+  if (active()) state_ = s;
 }
 
 }  // namespace tiamat::lease

@@ -7,14 +7,20 @@
 // combination. Leases are valid only at the instance that granted them, are
 // best-effort (revocable as a last resort), and expiry allows the leased
 // resource to be reclaimed.
+//
+// Since a lease cannot leave the instance that granted it, nothing shares
+// ownership of one. The granting LeaseManager keeps every lease as a record
+// in its slab, and a holder names its lease by a LeaseHandle. A Lease is the
+// value part of such a record: terms, budgets used and state, with no
+// callbacks. The record's Owner says what the lease was granted for, and
+// when the lease ends the manager passes that Owner to the instance's one
+// end hook, which reclaims the resource.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "transport/types.h"
 
@@ -54,10 +60,38 @@ enum class LeaseState : std::uint8_t {
 
 const char* to_string(LeaseState s);
 
-/// A granted lease. Owned jointly (shared_ptr) by the LeaseManager, which
-/// drives expiry, and the operation holding it, which charges budgets.
+/// What a lease was granted for. `id` names the holder in its own table.
+enum class OwnerKind : std::uint8_t {
+  kNone,         ///< nothing to reclaim when it ends
+  kStoredTuple,  ///< a stored tuple (out, remote out); id: its TupleId
+  kEval,         ///< a running eval (local, eval_at to self, remote); EvalId
+  kServing,      ///< a served rd or in; id: the serving-table key
+  kOp,           ///< a logical-space op, propagated or directed; its op id
+};
+
+struct Owner {
+  OwnerKind kind = OwnerKind::kNone;
+  std::uint64_t id = 0;
+};
+
+/// Names a lease record in its manager's slab: the slot, plus the slot's
+/// generation when the lease was granted. A slot's generation moves on when
+/// its lease ends, so an old handle reads as an ended lease and never
+/// reaches a later one. A default handle names no lease.
+struct LeaseHandle {
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  std::uint32_t slot = kNoSlot;
+  std::uint32_t gen = 0;
+
+  explicit operator bool() const { return slot != kNoSlot; }
+};
+
+/// A granted lease's value: its id, terms and grant time, the budgets
+/// charged against it and its state. Only the manager ends it. A default
+/// Lease is no lease: no id, unbounded, already ended.
 class Lease {
  public:
+  Lease() = default;
   Lease(LeaseId id, LeaseTerms terms, transport::Time granted_at);
 
   LeaseId id() const { return id_; }
@@ -67,11 +101,15 @@ class Lease {
   /// Absolute expiry instant, or transport::kNever without a TTL.
   transport::Time expiry_time() const;
 
-  /// Manager-only: replaces the TTL after a successful renewal.
+  /// Replaces the TTL after a successful renewal.
   void set_ttl(transport::Duration ttl) { terms_.ttl = ttl; }
 
   LeaseState state() const { return state_; }
   bool active() const { return state_ == LeaseState::kActive; }
+
+  /// Moves an active lease to the terminal state `s`; an ended lease stays
+  /// as it ended.
+  void finish(LeaseState s);
 
   // ---- Budget accounting -------------------------------------------------
 
@@ -88,28 +126,13 @@ class Lease {
   std::uint32_t contacts_used() const { return contacts_used_; }
   std::uint64_t bytes_used() const { return bytes_used_; }
 
-  // ---- Lifecycle ----------------------------------------------------------
-
-  /// Registers a callback fired exactly once when the lease stops being
-  /// active for any reason (expiry, revocation or release). Operations use
-  /// this to cancel outstanding work and reclaim resources.
-  void on_end(std::function<void(LeaseState)> fn);
-
-  /// Transitions; each is idempotent and fires the end callbacks once.
-  void expire() { finish(LeaseState::kExpired); }
-  void revoke() { finish(LeaseState::kRevoked); }
-  void release() { finish(LeaseState::kReleased); }
-
  private:
-  void finish(LeaseState s);
-
-  LeaseId id_;
+  LeaseId id_ = kNoLease;
   LeaseTerms terms_;
-  transport::Time granted_at_;
-  LeaseState state_ = LeaseState::kActive;
+  transport::Time granted_at_ = 0;
+  LeaseState state_ = LeaseState::kReleased;
   std::uint32_t contacts_used_ = 0;
   std::uint64_t bytes_used_ = 0;
-  std::vector<std::function<void(LeaseState)>> end_callbacks_;
 };
 
 }  // namespace tiamat::lease

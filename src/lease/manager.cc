@@ -1,5 +1,6 @@
 #include "lease/manager.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -11,66 +12,55 @@ namespace tiamat::lease {
 
 #if TIAMAT_AUDIT_ENABLED
 void LeaseManager::audit_check(const char* checkpoint) const {
-  auto trap = [&](const std::string& invariant, const std::string& detail) {
+  auto trap = [&](const char* invariant, const auto&... detail) {
     std::ostringstream os;
-    os << detail << " | active " << active_.size() << ", next id "
-       << next_id_;
+    (os << ... << detail);
+    os << " | live " << live_ << ", slots " << records_.size() << ", free "
+       << free_.size() << ", next id " << next_id_;
     audit::fail("LeaseManager", checkpoint, invariant, os.str());
   };
-  for (const auto& [id, entry] : active_) {
-    if (!entry.lease) {
-      std::ostringstream os;
-      os << "active table holds null lease under id " << id;
-      trap("lease-live", os.str());
-      return;
+  std::vector<bool> is_free(records_.size(), false);
+  for (const std::uint32_t slot : free_) {
+    if (slot >= records_.size() || is_free[slot]) {
+      return trap("slab", "free list names slot ", slot, " twice or past "
+                  "the end");
     }
-    if (entry.lease->id() != id) {
-      std::ostringstream os;
-      os << "lease " << entry.lease->id() << " registered under id " << id;
-      trap("lease-live", os.str());
-      return;
-    }
-    if (id >= next_id_) {
-      std::ostringstream os;
-      os << "lease id " << id << " >= next id " << next_id_;
-      trap("id-allocation", os.str());
-      return;
-    }
-    // A terminal lease may only appear here mid-reclamation: the expiry
-    // timer fired (event already cleared, deadline passed) and expire()'s
-    // end callbacks are still running — one of them may re-enter the
-    // manager and land on this checkpoint before finish_bookkeeping
-    // erases the entry. Anything else is a stale entry that would keep
-    // charging the policy's usage accounting forever.
-    if (!entry.lease->active()) {
-      const bool mid_expiry = entry.lease->state() == LeaseState::kExpired &&
-                              entry.expiry_event == transport::kInvalidEvent &&
-                              entry.lease->expiry_time() != transport::kNever &&
-                              entry.lease->expiry_time() <= queue_.now();
-      if (!mid_expiry) {
-        std::ostringstream os;
-        os << "lease " << id << " tracked as active but in a terminal state";
-        trap("lease-live", os.str());
-        return;
-      }
+    is_free[slot] = true;
+  }
+  std::size_t active = 0;
+  std::size_t ending = 0;
+  for (std::size_t slot = 0; slot < records_.size(); ++slot) {
+    const Record& r = records_[slot];
+    const Lease& l = r.lease;
+    const bool armed = r.expiry_event != transport::kInvalidEvent;
+    if (is_free[slot]) {
+      if (armed) return trap("slab", "free slot ", slot, " holds a timer");
       continue;
     }
-    const transport::Time expiry = entry.lease->expiry_time();
-    if (expiry != transport::kNever) {
-      if (entry.expiry_event == transport::kInvalidEvent) {
-        std::ostringstream os;
-        os << "lease " << id << " has a TTL but no expiry timer armed";
-        trap("expiry-armed", os.str());
-        return;
-      }
-      if (expiry < queue_.now()) {
-        std::ostringstream os;
-        os << "lease " << id << " expiry " << expiry
-           << " already passed (now " << queue_.now() << ")";
-        trap("expiry-armed", os.str());
-        return;
-      }
+    if (l.id() == kNoLease || l.id() >= next_id_) {
+      return trap("id-allocation", "lease id ", l.id(), " in slot ", slot);
     }
+    // An ended record in use is one whose end hook is still running: its
+    // timer was cancelled, or fired and was cleared, before the hook.
+    if (!l.active()) {
+      if (armed) return trap("lease-live", "lease ", l.id(), " timer armed");
+      ++ending;
+      continue;
+    }
+    ++active;
+    const transport::Time expiry = l.expiry_time();
+    if (expiry != transport::kNever && !armed) {
+      return trap("expiry-armed", "lease ", l.id(), " has a TTL but no timer");
+    }
+    if (expiry < queue_.now()) {
+      return trap("expiry-armed", "lease ", l.id(), " expiry ", expiry,
+                  " already passed (now ", queue_.now(), ")");
+    }
+  }
+  // An expiring lease still counts while its hook runs; a released or
+  // revoked one stopped counting before it.
+  if (live_ < active || live_ > active + ending) {
+    trap("live-count", active, " active and ", ending, " ending records");
   }
 }
 #endif  // TIAMAT_AUDIT_ENABLED
@@ -80,30 +70,33 @@ LeaseManager::LeaseManager(transport::TimerService& queue,
     : queue_(queue), policy_(std::move(policy)) {}
 
 LeaseManager::~LeaseManager() {
-  for (auto& [id, entry] : active_) {
-    (void)id;
-    if (entry.expiry_event != transport::kInvalidEvent) {
-      queue_.cancel(entry.expiry_event);
+  std::vector<std::pair<LeaseId, transport::EventId>> timers;
+  for (const Record& r : records_) {
+    if (r.expiry_event != transport::kInvalidEvent) {
+      timers.emplace_back(r.lease.id(), r.expiry_event);
     }
+  }
+  std::sort(timers.begin(), timers.end());
+  for (const auto& [id, event] : timers) {
+    (void)id;
+    queue_.cancel(event);
   }
 }
 
 ResourceUsage LeaseManager::usage() const {
   ResourceUsage usage;
   if (usage_probe_) usage = usage_probe_();
-  usage.active_leases = active_.size();
-  usage.active_ops = active_.size();
+  usage.active_leases = live_;
+  usage.active_ops = live_;
   return usage;
 }
 
-transport::EventId LeaseManager::arm_expiry(LeaseId id, transport::Time when) {
-  return queue_.schedule_at(when, [this, id] {
-    auto it = active_.find(id);
-    if (it == active_.end()) return;
-    auto l = it->second.lease;
-    it->second.expiry_event = transport::kInvalidEvent;
-    l->expire();  // fires end callbacks; bookkeeping below
-    finish_bookkeeping(id, LeaseState::kExpired);
+transport::EventId LeaseManager::arm_expiry(LeaseHandle h,
+                                            transport::Time when) {
+  return queue_.schedule_at(when, [this, h] {
+    if (!active(h)) return;
+    records_[h.slot].expiry_event = transport::kInvalidEvent;
+    end(h.slot, LeaseState::kExpired);
   });
 }
 
@@ -120,22 +113,27 @@ std::optional<LeaseTerms> LeaseManager::agree(const LeaseRequester& requester) {
   return offer;
 }
 
-std::shared_ptr<Lease> LeaseManager::grant(const LeaseTerms& terms) {
-  LeaseId id = next_id_++;
-  auto lease = std::make_shared<Lease>(id, terms, queue_.now());
-  Active entry;
-  entry.lease = lease;
-  if (terms.ttl) entry.expiry_event = arm_expiry(id, lease->expiry_time());
-  // Bookkeeping when the *holder* ends the lease (release) or it is revoked
-  // through the Lease object directly.
-  lease->on_end([this, id](LeaseState state) {
-    if (state != LeaseState::kExpired) finish_bookkeeping(id, state);
-  });
-  active_.emplace(id, std::move(entry));
+LeaseHandle LeaseManager::grant(const LeaseTerms& terms) {
+  const LeaseId id = next_id_++;
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Record& r = records_[slot];
+  r.lease = Lease(id, terms, queue_.now());
+  r.owner_kind = OwnerKind::kNone;
+  r.owner_id = 0;
+  const LeaseHandle h{slot, r.gen};
+  if (terms.ttl) r.expiry_event = arm_expiry(h, r.lease.expiry_time());
+  ++live_;
   if (metrics_.granted) ++*metrics_.granted;
-  if (metrics_.active) metrics_.active->set(static_cast<double>(active_.size()));
+  if (metrics_.active) metrics_.active->set(static_cast<double>(live_));
   TIAMAT_AUDIT_CHECK(audit_check("grant"));
-  return lease;
+  return h;
 }
 
 LeaseId LeaseManager::grant_released() {
@@ -146,20 +144,41 @@ LeaseId LeaseManager::grant_released() {
   return id;
 }
 
-std::shared_ptr<Lease> LeaseManager::negotiate(
-    const LeaseRequester& requester) {
+LeaseHandle LeaseManager::negotiate(const LeaseRequester& requester) {
   auto terms = agree(requester);
-  return terms ? grant(*terms) : nullptr;
+  return terms ? grant(*terms) : LeaseHandle{};
 }
 
-void LeaseManager::finish_bookkeeping(LeaseId id, LeaseState state) {
-  auto it = active_.find(id);
-  if (it == active_.end()) return;
-  if (it->second.expiry_event != transport::kInvalidEvent) {
-    queue_.cancel(it->second.expiry_event);
+void LeaseManager::set_owner(LeaseHandle h, Owner owner) {
+  if (active(h)) {
+    Record& r = records_[h.slot];
+    r.owner_kind = owner.kind;
+    r.owner_id = owner.id;
+  } else if (end_hook_ && owner.kind != OwnerKind::kNone) {
+    end_hook_(owner, LeaseState::kRevoked);
   }
-  active_.erase(it);
-  switch (state) {
+}
+
+void LeaseManager::end(std::uint32_t slot, LeaseState s) {
+  // A deque never moves its elements, so `r` survives grants in the hook.
+  Record& r = records_[slot];
+  r.lease.finish(s);
+  if (s != LeaseState::kExpired) settle(r, s);
+  if (end_hook_ && r.owner_kind != OwnerKind::kNone) {
+    end_hook_(Owner{r.owner_kind, r.owner_id}, s);
+  }
+  if (s == LeaseState::kExpired) settle(r, s);
+  ++r.gen;
+  free_.push_back(slot);
+}
+
+void LeaseManager::settle(Record& r, LeaseState s) {
+  if (r.expiry_event != transport::kInvalidEvent) {
+    queue_.cancel(r.expiry_event);
+    r.expiry_event = transport::kInvalidEvent;
+  }
+  --live_;
+  switch (s) {
     case LeaseState::kExpired:
       if (metrics_.expired) ++*metrics_.expired;
       break;
@@ -172,21 +191,24 @@ void LeaseManager::finish_bookkeeping(LeaseId id, LeaseState state) {
     case LeaseState::kActive:
       break;
   }
-  if (metrics_.active) metrics_.active->set(static_cast<double>(active_.size()));
-  TIAMAT_AUDIT_CHECK(audit_check("finish_bookkeeping"));
+  if (metrics_.active) metrics_.active->set(static_cast<double>(live_));
+  TIAMAT_AUDIT_CHECK(audit_check("settle"));
 }
 
-std::optional<transport::Time> LeaseManager::renew(LeaseId id,
-                                             transport::Duration extra) {
-  auto it = active_.find(id);
-  if (it == active_.end()) return std::nullopt;
-  auto lease = it->second.lease;
-  if (!lease->active()) return std::nullopt;
+void LeaseManager::release(LeaseHandle h) {
+  if (active(h)) end(h.slot, LeaseState::kReleased);
+}
+
+std::optional<transport::Time> LeaseManager::renew(LeaseHandle h,
+                                                   transport::Duration extra) {
+  if (!active(h)) return std::nullopt;
+  Record& r = records_[h.slot];
 
   // Re-negotiate the extension against current conditions.
   const transport::Time now = queue_.now();
+  const transport::Time expiry = r.lease.expiry_time();
   const transport::Duration remaining =
-      lease->expiry_time() == transport::kNever ? 0 : lease->expiry_time() - now;
+      expiry == transport::kNever ? 0 : expiry - now;
   LeaseTerms ask;
   ask.ttl = (remaining > 0 ? remaining : 0) + extra;
   auto offer = policy_->offer(ask, usage(), now);
@@ -194,31 +216,38 @@ std::optional<transport::Time> LeaseManager::renew(LeaseId id,
 
   // Rebase the lease's TTL at `now` and reschedule expiry.
   const transport::Time new_expiry = now + *offer->ttl;
-  lease->set_ttl(new_expiry - lease->granted_at());
-  if (it->second.expiry_event != transport::kInvalidEvent) {
-    queue_.cancel(it->second.expiry_event);
+  r.lease.set_ttl(new_expiry - r.lease.granted_at());
+  if (r.expiry_event != transport::kInvalidEvent) {
+    queue_.cancel(r.expiry_event);
   }
-  it->second.expiry_event = arm_expiry(id, new_expiry);
+  r.expiry_event = arm_expiry(h, new_expiry);
   TIAMAT_AUDIT_CHECK(audit_check("renew"));
   return new_expiry;
 }
 
-bool LeaseManager::revoke(LeaseId id) {
-  auto it = active_.find(id);
-  if (it == active_.end()) return false;
-  auto lease = it->second.lease;  // keep alive across callbacks
-  lease->revoke();                // triggers finish_bookkeeping via on_end
+bool LeaseManager::revoke(LeaseHandle h) {
+  if (!active(h)) return false;
+  end(h.slot, LeaseState::kRevoked);
   return true;
 }
 
 void LeaseManager::revoke_all() {
-  std::vector<std::shared_ptr<Lease>> leases;
-  leases.reserve(active_.size());
-  for (auto& [id, entry] : active_) {
-    (void)id;
-    leases.push_back(entry.lease);
+  std::vector<std::pair<LeaseId, LeaseHandle>> live;
+  live.reserve(live_);
+  for (std::size_t slot = 0; slot < records_.size(); ++slot) {
+    const Record& r = records_[slot];
+    if (r.lease.active()) {
+      live.emplace_back(r.lease.id(),
+                        LeaseHandle{static_cast<std::uint32_t>(slot), r.gen});
+    }
   }
-  for (auto& l : leases) l->revoke();
+  std::sort(live.begin(), live.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // A hook may end later leases itself; revoke skips those.
+  for (const auto& [id, h] : live) {
+    (void)id;
+    revoke(h);
+  }
 }
 
 void LeaseManager::set_usage_probe(std::function<ResourceUsage()> probe) {

@@ -2,6 +2,10 @@
 
 namespace tiamat::tuples {
 
+void Writer::grow(std::size_t n) {
+  out_.resize(std::max(pos_ + n, 2 * out_.size()));
+}
+
 void Writer::str(const std::string& s) {
   varint(s.size());
   bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());

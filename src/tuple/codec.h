@@ -11,11 +11,13 @@
 //
 // One exactly-sized buffer per encode: each encoder has an encoded_size
 // beside it, and encode_tuple / encode_pattern (like net::encode_message)
-// reserve that size up front, so the buffer is allocated once and never
-// regrown. Each scalar is appended, or bounds-checked and read, in one step.
+// size their Writer to it up front, so the buffer is allocated once and
+// never regrown. Each scalar is appended, or bounds-checked and read, in one
+// step.
 
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -46,15 +48,17 @@ constexpr std::size_t varint_size(std::uint64_t v) {
 /// The longest varint, UINT64_MAX's: nine 7-bit groups and bit 63.
 inline constexpr std::size_t kMaxVarintBytes = varint_size(UINT64_MAX);
 
-/// Append-only byte sink.
+/// Append-only byte sink: a buffer and a cursor into it. Sized up front to
+/// what will be written, it allocates once, and each append is a bounds
+/// check and a store; only an unsized Writer grows.
 class Writer {
  public:
   Writer() = default;
-  /// Reserves `capacity` bytes: an encoder that passes the encoded_size of
-  /// what it writes allocates once and never regrows.
-  explicit Writer(std::size_t capacity) { out_.reserve(capacity); }
+  /// Sizes the buffer to `capacity` bytes: an encoder that passes the
+  /// encoded_size of what it writes allocates once and never regrows.
+  explicit Writer(std::size_t capacity) : out_(capacity) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u8(std::uint8_t v) { *room(1) = v; }
   void u16(std::uint16_t v) { le(v); }
   void u32(std::uint32_t v) { le(v); }
   void u64(std::uint64_t v) { le(v); }
@@ -68,14 +72,21 @@ class Writer {
     bytes(buf, n);
   }
   void bytes(const std::uint8_t* data, std::size_t n) {
-    out_.insert(out_.end(), data, data + n);
+    std::copy_n(data, n, room(n));
   }
   void str(const std::string& s);  ///< varint length + raw bytes
   void blob(const Blob& b);        ///< varint length + raw bytes
 
-  const Bytes& data() const& { return out_; }
-  Bytes take() && { return std::move(out_); }
-  std::size_t size() const { return out_.size(); }
+  /// The bytes written so far.
+  const Bytes& data() & {
+    out_.resize(pos_);
+    return out_;
+  }
+  Bytes take() && {
+    out_.resize(pos_);
+    return std::move(out_);
+  }
+  std::size_t size() const { return pos_; }
 
  private:
   /// Appends v's bytes, least significant first.
@@ -88,7 +99,17 @@ class Writer {
     bytes(buf, sizeof(U));
   }
 
+  /// Where the next `n` bytes go; moves the cursor past them.
+  std::uint8_t* room(std::size_t n) {
+    if (n > out_.size() - pos_) [[unlikely]] grow(n);
+    std::uint8_t* at = out_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+  [[gnu::cold]] void grow(std::size_t n);
+
   Bytes out_;
+  std::size_t pos_ = 0;
 };
 
 /// Bounds-checked byte source.

@@ -360,6 +360,302 @@ TEST(TentativeRecovery, LeaseEndingDuringHoldKeepsTupleGone) {
   EXPECT_EQ(holder.leases().active(), 0u);
 }
 
+// ---------------- What a lease's end does to its holder ----------------
+//
+// One test per kind of holder. Expiry and revocation each end the holder's
+// resource; a release (the holder finished normally) ends nothing more.
+// Nothing in the public API releases a stored tuple's or an eval's lease.
+
+lease::FlexibleRequester ttl(sim::Duration d) {
+  return lease::FlexibleRequester{lease::for_duration(d)};
+}
+
+TEST(LeaseOwners, StoredTupleViaOut) {
+  World w;
+  Instance a(w.tx, cfg("a"));
+  ASSERT_EQ(a.out(Tuple{"short"}, ttl(sim::seconds(1))), Status::kOk);
+  ASSERT_EQ(a.out(Tuple{"long"}, ttl(sim::seconds(50))), Status::kOk);
+  w.run_for(sim::seconds(2));
+  EXPECT_EQ(a.local_space().count_matches(Pattern{"short"}), 0u);
+  EXPECT_EQ(a.local_space().count_matches(Pattern{"long"}), 1u);
+  a.leases().revoke_all();
+  EXPECT_EQ(a.local_space().count_matches(Pattern{"long"}), 0u);
+  EXPECT_EQ(a.leases().active(), 0u);
+}
+
+TEST(LeaseOwners, StoredTupleViaRemoteOut) {
+  World w;
+  Instance a(w.tx, cfg("a"));
+  Instance b(w.tx, cfg("b"));
+  ASSERT_EQ(a.out_at(b.handle(), Tuple{"short"}, ttl(sim::seconds(1)),
+                     UnavailablePolicy::kAbandon),
+            Status::kOk);
+  ASSERT_EQ(a.out_at(b.handle(), Tuple{"long"}, ttl(sim::seconds(50)),
+                     UnavailablePolicy::kAbandon),
+            Status::kOk);
+  w.run_for(sim::milliseconds(100));
+  EXPECT_EQ(b.local_space().count_matches(Pattern{"short"}), 1u);
+  EXPECT_EQ(b.local_space().count_matches(Pattern{"long"}), 1u);
+  w.run_for(sim::seconds(2));
+  EXPECT_EQ(b.local_space().count_matches(Pattern{"short"}), 0u);
+  EXPECT_EQ(b.local_space().count_matches(Pattern{"long"}), 1u);
+  b.leases().revoke_all();
+  EXPECT_EQ(b.local_space().count_matches(Pattern{"long"}), 0u);
+  EXPECT_EQ(b.leases().active(), 0u);
+}
+
+space::ActiveTuple slow_active(const char* tag) {
+  space::ActiveTuple at;
+  at.add(tuples::Value(tag));
+  at.add([] { return tuples::Value(std::int64_t{1}); }, sim::seconds(5));
+  return at;
+}
+
+TEST(LeaseOwners, LocalEval) {
+  World w;
+  Instance a(w.tx, cfg("a"));
+  ASSERT_EQ(a.eval(slow_active("expires"), ttl(sim::seconds(1))), Status::kOk);
+  w.run_for(sim::seconds(2));
+  EXPECT_EQ(a.evals().running(), 0u) << "halted when its lease expired";
+  ASSERT_EQ(a.eval(slow_active("revoked"), ttl(sim::seconds(50))),
+            Status::kOk);
+  w.run_for(sim::seconds(1));
+  EXPECT_EQ(a.evals().running(), 1u);
+  a.leases().revoke_all();
+  EXPECT_EQ(a.evals().running(), 0u) << "halted when its lease was revoked";
+  w.run_for(sim::seconds(10));
+  EXPECT_EQ(a.local_space().count_matches(Pattern{any_string(), any_int()}),
+            0u);
+}
+
+TEST(LeaseOwners, EvalAtSelf) {
+  World w;
+  Config c = cfg("a");
+  c.lease_caps.default_ttl = sim::seconds(1);
+  Instance a(w.tx, c);
+  a.computations().install(
+      "slow", [](const Tuple& args) { return Tuple{"done", args[0]}; },
+      sim::seconds(5));
+  ASSERT_EQ(a.eval_at(a.handle(), "slow", Tuple{1}), Status::kOk);
+  w.run_for(sim::seconds(2));
+  EXPECT_EQ(a.evals().running(), 0u) << "halted when its lease expired";
+  ASSERT_EQ(a.eval_at(a.handle(), "slow", Tuple{2}), Status::kOk);
+  w.run_for(sim::milliseconds(500));
+  EXPECT_EQ(a.evals().running(), 1u);
+  a.leases().revoke_all();
+  EXPECT_EQ(a.evals().running(), 0u) << "halted when its lease was revoked";
+  w.run_for(sim::seconds(10));
+  EXPECT_EQ(a.local_space().count_matches(Pattern{"done", any_int()}), 0u);
+}
+
+/// Runs until `server` holds one serving entry (the request arrives after
+/// the originator's probe window).
+void run_until_serving(World& w, Instance& server) {
+  for (int ms = 0; ms < 200 && server.serving_count() == 0; ++ms) {
+    w.run_for(sim::milliseconds(1));
+  }
+  ASSERT_EQ(server.serving_count(), 1u);
+}
+
+TEST(LeaseOwners, ServedRd) {
+  World w;
+  Instance a(w.tx, cfg("a"));
+  Instance b(w.tx, cfg("b"));
+  obs::Counter& expired = b.metrics().counter("lease.expired");
+
+  // Expiry: the serving lease ends at the originator's deadline, before
+  // the originator's cancel can arrive.
+  int calls = 0;
+  ASSERT_TRUE(a.rd(Pattern{"none"}, [&](auto) { ++calls; },
+                   ttl(sim::milliseconds(500))));
+  ASSERT_NO_FATAL_FAILURE(run_until_serving(w, b));
+  EXPECT_EQ(b.local_space().waiter_count(), 1u);
+  w.queue.run_until(sim::milliseconds(501));
+  EXPECT_EQ(expired.value(), 1u);
+  EXPECT_EQ(b.serving_count(), 0u);
+  EXPECT_EQ(b.local_space().waiter_count(), 0u);
+  w.run_for(sim::seconds(1));
+  EXPECT_EQ(calls, 1);
+
+  // Revocation.
+  ASSERT_TRUE(a.rd(Pattern{"none"}, [&](auto) { ++calls; },
+                   ttl(sim::seconds(50))));
+  ASSERT_NO_FATAL_FAILURE(run_until_serving(w, b));
+  b.leases().revoke_all();
+  EXPECT_EQ(b.serving_count(), 0u);
+  EXPECT_EQ(b.local_space().waiter_count(), 0u);
+  a.leases().revoke_all();
+  EXPECT_EQ(calls, 2);
+
+  // Release: a match answers the op and drops the entry; the tuple stays.
+  std::optional<ReadResult> got;
+  ASSERT_TRUE(a.rd(Pattern{"later"}, [&](auto r) { got = r; },
+                   ttl(sim::seconds(50))));
+  ASSERT_NO_FATAL_FAILURE(run_until_serving(w, b));
+  b.local_space().out(Tuple{"later"});
+  w.run_for(sim::milliseconds(100));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->source, b.node());
+  EXPECT_EQ(b.serving_count(), 0u);
+  EXPECT_EQ(b.local_space().count_matches(Pattern{"later"}), 1u);
+  EXPECT_EQ(b.leases().active(), 0u);
+}
+
+TEST(LeaseOwners, ServedIn) {
+  World w;
+  Instance holder(w.tx, cfg("holder"));
+  obs::Counter& reinserted = holder.metrics().counter("serve.reinserted");
+  // The prize is stored without a lease, so the holder's only lease below
+  // is the serving one.
+  holder.local_space().out(Tuple{"prize"});
+
+  // Expiry during the hold: the tentatively taken tuple comes back before
+  // the hold (750 ms) would have returned it.
+  auto taker = std::make_unique<Instance>(w.tx, cfg("taker"));
+  taker->in(Pattern{"prize"}, [](auto) {}, ttl(sim::milliseconds(300)));
+  ASSERT_NO_FATAL_FAILURE(park_then_kill(w, holder, taker));
+  w.queue.run_until(sim::milliseconds(400));
+  EXPECT_EQ(holder.serving_count(), 0u);
+  EXPECT_EQ(holder.local_space().tentative_count(), 0u);
+  EXPECT_EQ(holder.local_space().count_matches(Pattern{"prize"}), 1u);
+  EXPECT_EQ(reinserted.value(), 1u);
+
+  // Revocation during the hold.
+  taker = std::make_unique<Instance>(w.tx, cfg("taker2"));
+  taker->in(Pattern{"prize"}, [](auto) {}, ttl(sim::seconds(50)));
+  ASSERT_NO_FATAL_FAILURE(park_then_kill(w, holder, taker));
+  holder.leases().revoke_all();
+  EXPECT_EQ(holder.serving_count(), 0u);
+  EXPECT_EQ(holder.local_space().tentative_count(), 0u);
+  EXPECT_EQ(holder.local_space().count_matches(Pattern{"prize"}), 1u);
+  EXPECT_EQ(reinserted.value(), 2u);
+
+  // Revocation while waiting: the waiter goes with the entry.
+  Instance waiter(w.tx, cfg("waiter"));
+  ASSERT_TRUE(waiter.in(Pattern{"absent"}, [](auto) {}, ttl(sim::seconds(50))));
+  ASSERT_NO_FATAL_FAILURE(run_until_serving(w, holder));
+  const std::size_t waiters = holder.local_space().waiter_count();
+  holder.leases().revoke_all();
+  EXPECT_EQ(holder.serving_count(), 0u);
+  EXPECT_EQ(holder.local_space().waiter_count(), waiters - 1);
+  waiter.leases().revoke_all();
+  w.run_for(sim::seconds(1));
+
+  // Release: the confirmed take ends the entry and puts nothing back.
+  std::optional<ReadResult> got;
+  ASSERT_TRUE(waiter.in(Pattern{"prize"}, [&](auto r) { got = r; },
+                        ttl(sim::seconds(50))));
+  w.run_for(sim::seconds(1));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(holder.serving_count(), 0u);
+  EXPECT_EQ(holder.local_space().tentative_count(), 0u);
+  EXPECT_EQ(holder.local_space().count_matches(Pattern{"prize"}), 0u);
+  EXPECT_EQ(reinserted.value(), 2u);
+  EXPECT_EQ(holder.leases().active(), 0u);
+}
+
+TEST(LeaseOwners, Op) {
+  World w;
+  Instance a(w.tx, cfg("a"));
+  std::vector<bool> results;
+  auto cb = [&](std::optional<ReadResult> r) {
+    results.push_back(r.has_value());
+  };
+  ASSERT_TRUE(a.in(Pattern{"never"}, cb, ttl(sim::seconds(1))));
+  w.run_for(sim::seconds(2));
+  EXPECT_EQ(results, std::vector<bool>{false}) << "expired";
+  ASSERT_TRUE(a.in(Pattern{"never"}, cb, ttl(sim::seconds(50))));
+  w.run_for(sim::seconds(1));
+  a.leases().revoke_all();
+  EXPECT_EQ(results, (std::vector<bool>{false, false})) << "revoked";
+  ASSERT_TRUE(a.in(Pattern{"x"}, cb, ttl(sim::seconds(50))));
+  a.local_space().out(Tuple{"x"});
+  w.run_for(sim::seconds(60));
+  EXPECT_EQ(results, (std::vector<bool>{false, false, true}))
+      << "a match releases the lease and calls back once";
+  EXPECT_EQ(a.open_ops(), 0u);
+  EXPECT_EQ(a.leases().active(), 0u);
+}
+
+TEST(LeaseOwners, DirectedOp) {
+  World w;
+  Config c = cfg("a");
+  c.lease_caps.default_ttl = sim::seconds(1);
+  Instance a(w.tx, c);
+  Instance b(w.tx, cfg("b"));
+  std::vector<bool> results;
+  auto cb = [&](std::optional<ReadResult> r) {
+    results.push_back(r.has_value());
+  };
+  ASSERT_TRUE(a.in_at(b.handle(), Pattern{"never"}, cb));
+  w.run_for(sim::seconds(2));
+  EXPECT_EQ(results, std::vector<bool>{false}) << "expired";
+  ASSERT_TRUE(a.in_at(b.handle(), Pattern{"never"}, cb));
+  w.run_for(sim::milliseconds(500));
+  a.leases().revoke_all();
+  EXPECT_EQ(results, (std::vector<bool>{false, false})) << "revoked";
+  ASSERT_TRUE(a.in_at(b.handle(), Pattern{"y"}, cb));
+  b.local_space().out(Tuple{"y"});
+  w.run_for(sim::seconds(5));
+  EXPECT_EQ(results, (std::vector<bool>{false, false, true}))
+      << "a match releases the lease and calls back once";
+  EXPECT_EQ(a.open_ops(), 0u);
+  EXPECT_EQ(a.leases().active(), 0u);
+}
+
+// ---------------- A served rd replies once per outcome ----------------
+
+/// A raw node that sends `server` one kRd request and records its replies.
+struct RawRd {
+  RawRd(World& w, Instance& server) : w(w), server(server) {
+    node = w.net.add_node();
+    w.tx.bind(node, [this](transport::NodeId, const transport::Payload& p) {
+      if (auto m = net::decode_message(p);
+          m && m->type == net::kOpResponse) {
+        const auto h = m->read<bool, bool>();
+        found.push_back(h && std::get<0>(*h));
+      }
+    });
+  }
+  void send() {
+    w.net.send(node, server.node(),
+               net::encode_message(op_request(
+                   node, 1, tuples::Value(std::int64_t{0}),
+                   tuples::Value(std::int64_t{-1}))));
+  }
+  World& w;
+  Instance& server;
+  transport::NodeId node = transport::kNoNode;
+  std::vector<bool> found;  ///< one entry per kOpResponse: did it match
+};
+
+TEST(ServedRd, ImmediateMatchRepliesOnce) {
+  World w;
+  Instance b(w.tx, cfg("b"));
+  ASSERT_EQ(b.out(Tuple{"here"}), Status::kOk);
+  RawRd rd(w, b);
+  rd.send();
+  w.run_for(sim::milliseconds(100));
+  EXPECT_EQ(rd.found, std::vector<bool>{true});
+  EXPECT_EQ(b.serving_count(), 0u);
+  EXPECT_EQ(b.leases().active(), 1u) << "only the stored tuple's lease";
+}
+
+TEST(ServedRd, WaitingRdAcksThenMatches) {
+  World w;
+  Instance b(w.tx, cfg("b"));
+  RawRd rd(w, b);
+  rd.send();
+  w.run_for(sim::milliseconds(100));
+  EXPECT_EQ(rd.found, std::vector<bool>{false});
+  EXPECT_EQ(b.serving_count(), 1u);
+  ASSERT_EQ(b.out(Tuple{"later"}), Status::kOk);
+  w.run_for(sim::milliseconds(100));
+  EXPECT_EQ(rd.found, (std::vector<bool>{false, true}));
+  EXPECT_EQ(b.serving_count(), 0u);
+  EXPECT_EQ(b.leases().active(), 1u) << "only the stored tuple's lease";
+}
+
 // ---------------- Misc semantics ----------------
 
 TEST(Misc, RdDoesNotConsumeEvenRemotely) {

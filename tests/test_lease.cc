@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "lease/factory.h"
@@ -74,34 +76,44 @@ TEST(Lease, ExpiryTimeFromTtl) {
 }
 
 TEST(Lease, EndCallbacksFireOnceWithState) {
-  Lease l(1, unbounded(), 0);
+  EventQueue q;
+  LeaseManager m(q, default_policy());
   int calls = 0;
+  Owner seen_owner;
   LeaseState seen{};
-  l.on_end([&](LeaseState s) {
+  m.set_end_hook([&](Owner o, LeaseState s) {
     ++calls;
+    seen_owner = o;
     seen = s;
   });
-  l.expire();
-  l.expire();   // idempotent
-  l.revoke();   // already finished
+  const LeaseHandle l = m.negotiate(FlexibleRequester{for_duration(seconds(1))});
+  m.set_owner(l, {OwnerKind::kOp, 42});
+  q.run_until_idle();
+  EXPECT_FALSE(m.revoke(l));  // already finished
+  m.release(l);
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(seen, LeaseState::kExpired);
+  EXPECT_EQ(seen_owner.kind, OwnerKind::kOp);
+  EXPECT_EQ(seen_owner.id, 42u);
 }
 
-TEST(Lease, OnEndAfterFinishFiresImmediately) {
-  Lease l(1, unbounded(), 0);
-  l.release();
-  bool fired = false;
-  l.on_end([&](LeaseState s) {
-    fired = true;
-    EXPECT_EQ(s, LeaseState::kReleased);
-  });
-  EXPECT_TRUE(fired);
+TEST(Manager, SetOwnerAfterRevocationFiresAtOnce) {
+  EventQueue q;
+  LeaseManager m(q, default_policy());
+  std::vector<LeaseState> seen;
+  m.set_end_hook([&](Owner, LeaseState s) { seen.push_back(s); });
+  const LeaseHandle l = m.negotiate(FlexibleRequester{});
+  m.revoke_all();  // say, from a callback the grant's caller set off
+  EXPECT_TRUE(seen.empty()) << "no owner yet";
+  m.set_owner(l, {OwnerKind::kStoredTuple, 7});
+  EXPECT_EQ(seen, std::vector<LeaseState>{LeaseState::kRevoked});
 }
 
 TEST(Lease, InactiveLeaseRefusesCharges) {
   Lease l(1, unbounded(), 0);
-  l.expire();
+  l.finish(LeaseState::kExpired);
+  l.finish(LeaseState::kRevoked);  // already ended
+  EXPECT_EQ(l.state(), LeaseState::kExpired);
   EXPECT_FALSE(l.charge_contact());
   EXPECT_FALSE(l.charge_bytes(1));
   EXPECT_FALSE(l.contacts_remaining());
@@ -222,16 +234,17 @@ TEST(Manager, NegotiationGrantsAndExpires) {
   LeaseManager m(q, default_policy());
   obs::Registry reg;
   m.bind_metrics(reg);
-  auto l = m.negotiate(FlexibleRequester{for_duration(seconds(1))});
-  ASSERT_TRUE(l != nullptr);
-  EXPECT_TRUE(l->active());
-  EXPECT_EQ(m.active(), 1u);
-
   bool ended = false;
-  l->on_end([&](LeaseState s) {
+  m.set_end_hook([&](Owner, LeaseState s) {
     ended = true;
     EXPECT_EQ(s, LeaseState::kExpired);
   });
+  const LeaseHandle l = m.negotiate(FlexibleRequester{for_duration(seconds(1))});
+  ASSERT_TRUE(l);
+  EXPECT_TRUE(m.active(l));
+  EXPECT_EQ(m.active(), 1u);
+
+  m.set_owner(l, {OwnerKind::kOp, 1});
   q.run_until_idle();
   EXPECT_TRUE(ended);
   EXPECT_EQ(q.now(), seconds(1));
@@ -244,7 +257,7 @@ TEST(Manager, PolicyRefusalReturnsNull) {
   LeaseManager m(q, std::make_unique<DenyAllPolicy>());
   obs::Registry reg;
   m.bind_metrics(reg);
-  EXPECT_EQ(m.negotiate(FlexibleRequester{}), nullptr);
+  EXPECT_FALSE(m.negotiate(FlexibleRequester{}));
   EXPECT_EQ(reg.counter("lease.refused_by_policy").value(), 1u);
 }
 
@@ -256,7 +269,7 @@ TEST(Manager, RequesterRefusalReturnsNull) {
   obs::Registry reg;
   m.bind_metrics(reg);
   StrictRequester strict(for_duration(seconds(100)), 0.9);
-  EXPECT_EQ(m.negotiate(strict), nullptr);
+  EXPECT_FALSE(m.negotiate(strict));
   EXPECT_EQ(reg.counter("lease.refused_by_requester").value(), 1u);
 }
 
@@ -265,13 +278,15 @@ TEST(Manager, ReleaseCancelsExpiryTimer) {
   LeaseManager m(q, default_policy());
   obs::Registry reg;
   m.bind_metrics(reg);
-  auto l = m.negotiate(FlexibleRequester{for_duration(seconds(5))});
+  const LeaseHandle l = m.negotiate(FlexibleRequester{for_duration(seconds(5))});
   ASSERT_TRUE(l);
-  l->release();
+  m.release(l);
+  EXPECT_FALSE(m.active(l));
   EXPECT_EQ(m.active(), 0u);
+  EXPECT_EQ(q.pending(), 0u);
   EXPECT_EQ(reg.counter("lease.released").value(), 1u);
   q.run_until_idle();
-  EXPECT_EQ(l->state(), LeaseState::kReleased);  // not expired later
+  EXPECT_EQ(reg.counter("lease.expired").value(), 0u);  // not expired later
 }
 
 TEST(Manager, RevokeEndsLeaseEarly) {
@@ -279,26 +294,31 @@ TEST(Manager, RevokeEndsLeaseEarly) {
   LeaseManager m(q, default_policy());
   obs::Registry reg;
   m.bind_metrics(reg);
-  auto l = m.negotiate(FlexibleRequester{for_duration(seconds(5))});
+  const LeaseHandle l = m.negotiate(FlexibleRequester{for_duration(seconds(5))});
   ASSERT_TRUE(l);
   bool revoked = false;
-  l->on_end([&](LeaseState s) { revoked = (s == LeaseState::kRevoked); });
-  EXPECT_TRUE(m.revoke(l->id()));
+  m.set_end_hook(
+      [&](Owner, LeaseState s) { revoked = (s == LeaseState::kRevoked); });
+  m.set_owner(l, {OwnerKind::kOp, 1});
+  EXPECT_TRUE(m.revoke(l));
   EXPECT_TRUE(revoked);
   EXPECT_EQ(reg.counter("lease.revoked").value(), 1u);
-  EXPECT_FALSE(m.revoke(l->id()));  // second revoke: gone
+  EXPECT_FALSE(m.revoke(l));  // second revoke: gone
 }
 
 TEST(Manager, RevokeAllSweepsEverything) {
   EventQueue q;
   LeaseManager m(q, default_policy());
-  auto a = m.negotiate(FlexibleRequester{});
-  auto b = m.negotiate(FlexibleRequester{});
+  obs::Registry reg;
+  m.bind_metrics(reg);
+  const LeaseHandle a = m.negotiate(FlexibleRequester{});
+  const LeaseHandle b = m.negotiate(FlexibleRequester{});
   ASSERT_TRUE(a && b);
   m.revoke_all();
   EXPECT_EQ(m.active(), 0u);
-  EXPECT_EQ(a->state(), LeaseState::kRevoked);
-  EXPECT_EQ(b->state(), LeaseState::kRevoked);
+  EXPECT_FALSE(m.active(a));
+  EXPECT_FALSE(m.active(b));
+  EXPECT_EQ(reg.counter("lease.revoked").value(), 2u);
 }
 
 TEST(Manager, UsageProbeFeedsPolicy) {
@@ -312,9 +332,9 @@ TEST(Manager, UsageProbeFeedsPolicy) {
     u.stored_bytes = reported;
     return u;
   });
-  EXPECT_NE(m.negotiate(FlexibleRequester{}), nullptr);
+  EXPECT_TRUE(m.negotiate(FlexibleRequester{}));
   reported = 100;  // saturated now
-  EXPECT_EQ(m.negotiate(FlexibleRequester{}), nullptr);
+  EXPECT_FALSE(m.negotiate(FlexibleRequester{}));
 }
 
 TEST(Manager, GrantStatsCount) {
@@ -340,20 +360,21 @@ TEST(Manager, NegotiateIsGrantOfAgree) {
   split.bind_metrics(split_reg);
   const FlexibleRequester req{for_duration(seconds(3))};
   for (int i = 0; i < 3; ++i) {
-    auto a = composed.negotiate(req);
+    const LeaseHandle a = composed.negotiate(req);
     auto terms = split.agree(req);
-    ASSERT_TRUE(a != nullptr);
+    ASSERT_TRUE(a);
     ASSERT_TRUE(terms.has_value());
     EXPECT_EQ(split.active(), static_cast<std::size_t>(i))
         << "agree alone creates nothing";
-    auto b = split.grant(*terms);
-    ASSERT_TRUE(b != nullptr);
-    EXPECT_EQ(a->id(), b->id());
-    EXPECT_EQ(a->terms().ttl, b->terms().ttl);
-    EXPECT_EQ(a->terms().max_remote_contacts, b->terms().max_remote_contacts);
-    EXPECT_EQ(a->terms().max_bytes, b->terms().max_bytes);
-    EXPECT_EQ(a->expiry_time(), b->expiry_time());
-    EXPECT_TRUE(b->active());
+    const LeaseHandle b = split.grant(*terms);
+    ASSERT_TRUE(b);
+    EXPECT_EQ(composed.id(a), split.id(b));
+    EXPECT_EQ(composed.terms(a).ttl, split.terms(b).ttl);
+    EXPECT_EQ(composed.terms(a).max_remote_contacts,
+              split.terms(b).max_remote_contacts);
+    EXPECT_EQ(composed.terms(a).max_bytes, split.terms(b).max_bytes);
+    EXPECT_EQ(composed.expiry_time(a), split.expiry_time(b));
+    EXPECT_TRUE(split.active(b));
   }
   EXPECT_EQ(composed.active(), split.active());
   EXPECT_EQ(q1.pending(), q2.pending());
@@ -362,7 +383,7 @@ TEST(Manager, NegotiateIsGrantOfAgree) {
 
   // Refusals count the same way, and agree refuses with nothing created.
   StrictRequester strict(for_duration(seconds(1000)), 0.9);
-  EXPECT_EQ(composed.negotiate(strict), nullptr);
+  EXPECT_FALSE(composed.negotiate(strict));
   EXPECT_FALSE(split.agree(strict).has_value());
   EXPECT_EQ(composed_reg.counter("lease.refused_by_requester").value(), 1u);
   EXPECT_EQ(split_reg.counter("lease.refused_by_requester").value(), 1u);
@@ -378,13 +399,14 @@ TEST(Manager, AccountingOnlyGrantTakesNextIdAndCountsBothEnds) {
   LeaseManager m(q, default_policy());
   obs::Registry reg;
   m.bind_metrics(reg);
-  auto first = m.negotiate(FlexibleRequester{for_duration(seconds(2))});
-  ASSERT_TRUE(first != nullptr);
+  const LeaseHandle first =
+      m.negotiate(FlexibleRequester{for_duration(seconds(2))});
+  ASSERT_TRUE(first);
   const std::size_t pending = q.pending();
 
   ASSERT_TRUE(m.agree(FlexibleRequester{for_duration(seconds(2))}));
   const LeaseId id = m.grant_released();
-  EXPECT_EQ(id, first->id() + 1);
+  EXPECT_EQ(id, m.id(first) + 1);
   EXPECT_EQ(m.active(), 1u);
   EXPECT_EQ(q.pending(), pending) << "no expiry timer";
   EXPECT_EQ(reg.counter("lease.granted").value(), 2u);
@@ -395,10 +417,10 @@ TEST(Manager, AccountingOnlyGrantTakesNextIdAndCountsBothEnds) {
 #endif
 
   // The id stream continues past it; expiry of the real lease is unchanged.
-  auto next = m.negotiate(FlexibleRequester{});
-  ASSERT_TRUE(next != nullptr);
-  EXPECT_EQ(next->id(), id + 1);
-  next->release();
+  const LeaseHandle next = m.negotiate(FlexibleRequester{});
+  ASSERT_TRUE(next);
+  EXPECT_EQ(m.id(next), id + 1);
+  m.release(next);
   q.run_until_idle();
   EXPECT_EQ(m.active(), 0u);
   EXPECT_EQ(reg.counter("lease.expired").value(), 1u);
@@ -477,27 +499,38 @@ using sim::seconds;
 TEST(Renewal, ExtendsActiveLease) {
   sim::EventQueue q;
   LeaseManager m(q, default_policy());
-  auto l = m.negotiate(FlexibleRequester{for_duration(seconds(2))});
+  obs::Registry reg;
+  m.bind_metrics(reg);
+  const LeaseHandle l = m.negotiate(FlexibleRequester{for_duration(seconds(2))});
   ASSERT_TRUE(l);
   q.run_until(seconds(1));
-  auto new_expiry = m.renew(l->id(), seconds(5));
+  auto new_expiry = m.renew(l, seconds(5));
   ASSERT_TRUE(new_expiry.has_value());
   EXPECT_EQ(*new_expiry, seconds(1) + seconds(6));  // remaining 1 + extra 5
+  EXPECT_EQ(m.expiry_time(l), *new_expiry);
   q.run_until(seconds(3));
-  EXPECT_TRUE(l->active()) << "original expiry must have been cancelled";
+  EXPECT_TRUE(m.active(l)) << "original expiry must have been cancelled";
   q.run_until_idle();
-  EXPECT_EQ(l->state(), LeaseState::kExpired);
+  EXPECT_FALSE(m.active(l));
+  EXPECT_EQ(reg.counter("lease.expired").value(), 1u);
   EXPECT_EQ(q.now(), seconds(7));
 }
 
 TEST(Renewal, UnknownOrEndedLeaseRefused) {
   sim::EventQueue q;
   LeaseManager m(q, default_policy());
-  EXPECT_FALSE(m.renew(999, seconds(1)).has_value());
-  auto l = m.negotiate(FlexibleRequester{for_duration(seconds(1))});
+  EXPECT_FALSE(m.renew(LeaseHandle{}, seconds(1)).has_value());
+  EXPECT_FALSE(m.renew(LeaseHandle{999, 0}, seconds(1)).has_value());
+  const LeaseHandle l = m.negotiate(FlexibleRequester{for_duration(seconds(1))});
   ASSERT_TRUE(l);
-  l->release();
-  EXPECT_FALSE(m.renew(l->id(), seconds(1)).has_value());
+  m.release(l);
+  EXPECT_FALSE(m.renew(l, seconds(1)).has_value());
+  // The freed slot's next lease is not reachable through the old handle.
+  const LeaseHandle reused = m.negotiate(FlexibleRequester{});
+  EXPECT_EQ(reused.slot, l.slot);
+  EXPECT_FALSE(m.renew(l, seconds(1)).has_value());
+  EXPECT_FALSE(m.active(l));
+  EXPECT_TRUE(m.active(reused));
 }
 
 TEST(Renewal, PolicyMayGrantLessThanAsked) {
@@ -505,9 +538,9 @@ TEST(Renewal, PolicyMayGrantLessThanAsked) {
   DefaultLeasePolicy::Caps caps;
   caps.max_ttl = seconds(3);
   LeaseManager m(q, default_policy(caps));
-  auto l = m.negotiate(FlexibleRequester{for_duration(seconds(2))});
+  const LeaseHandle l = m.negotiate(FlexibleRequester{for_duration(seconds(2))});
   ASSERT_TRUE(l);
-  auto e = m.renew(l->id(), seconds(100));
+  auto e = m.renew(l, seconds(100));
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(*e, seconds(3));  // clamped to the cap
 }
@@ -523,33 +556,93 @@ TEST(Renewal, SaturatedPolicyRefusesRenewal) {
     u.stored_bytes = reported;
     return u;
   });
-  auto l = m.negotiate(FlexibleRequester{for_duration(seconds(2))});
+  const LeaseHandle l = m.negotiate(FlexibleRequester{for_duration(seconds(2))});
   ASSERT_TRUE(l);
   reported = 100;  // device filled up since the grant
-  EXPECT_FALSE(m.renew(l->id(), seconds(5)).has_value());
-  EXPECT_TRUE(l->active()) << "a refused renewal does not end the lease";
+  EXPECT_FALSE(m.renew(l, seconds(5)).has_value());
+  EXPECT_TRUE(m.active(l)) << "a refused renewal does not end the lease";
 }
 
 
 // ---------------- Determinism regressions ----------------
 
 // revoke_all (and manager teardown) used to walk an unordered_map, so the
-// order lease-end callbacks fired in depended on hash iteration order. The
-// active table is ordered now: revocation sweeps in grant (id) order.
+// order lease-end callbacks fired in depended on hash iteration order.
+// Revocation sweeps in grant (id) order, also when freed slab slots were
+// reused so that slot order differs from grant order.
 TEST(Manager, RevokeAllFiresEndCallbacksInGrantOrder) {
   EventQueue q;
   LeaseManager m(q, default_policy());
-  std::vector<LeaseId> order;
-  std::vector<std::shared_ptr<Lease>> held;
-  for (int i = 0; i < 16; ++i) {
-    auto l = m.negotiate(FlexibleRequester{});
-    ASSERT_TRUE(l);
-    l->on_end([&order, id = l->id()](LeaseState) { order.push_back(id); });
-    held.push_back(std::move(l));
-  }
+  std::vector<std::uint64_t> order;
+  m.set_end_hook([&](Owner o, LeaseState s) {
+    if (s == LeaseState::kRevoked) order.push_back(o.id);
+  });
+  std::vector<LeaseHandle> held;
+  auto grant = [&] {
+    const LeaseHandle l = m.negotiate(FlexibleRequester{});
+    m.set_owner(l, {OwnerKind::kOp, m.id(l)});
+    held.push_back(l);
+  };
+  for (int i = 0; i < 16; ++i) grant();
+  for (int i = 0; i < 16; i += 3) m.release(held[i]);
+  for (int i = 0; i < 6; ++i) grant();
   m.revoke_all();
   ASSERT_EQ(order.size(), 16u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+}
+
+// What the holder's end hook sees, for every way a lease ends: the lease id
+// and end state, the lease.active gauge, the three end counters and the
+// timers still queued. Release and revocation settle the manager's books
+// (timer cancelled, gauge and counter updated) before the holder hears;
+// an expiry tells the holder first, while the lease still counts as active.
+TEST(LeaseManager, EndOrderIsPinned) {
+  EventQueue q;
+  LeaseManager m(q, default_policy());
+  obs::Registry reg;
+  m.bind_metrics(reg);
+  std::vector<std::string> seen;
+  auto record = [&](LeaseId id, LeaseState s) {
+    std::ostringstream os;
+    os << id << ' ' << to_string(s) << " t=" << q.now()
+       << " gauge=" << reg.gauge("lease.active").value()
+       << " rel=" << reg.counter("lease.released").value()
+       << " rev=" << reg.counter("lease.revoked").value()
+       << " exp=" << reg.counter("lease.expired").value()
+       << " pending=" << q.pending();
+    seen.push_back(os.str());
+  };
+  m.set_end_hook([&](Owner o, LeaseState s) { record(o.id, s); });
+  auto grant = [&](sim::Duration ttl) {
+    const LeaseHandle l = m.negotiate(FlexibleRequester{for_duration(ttl)});
+    m.set_owner(l, {OwnerKind::kOp, m.id(l)});
+    return l;
+  };
+
+  m.release(grant(seconds(5)));
+  m.revoke(grant(seconds(5)));
+  for (int i = 0; i < 3; ++i) grant(seconds(5));
+  m.revoke_all();
+  grant(seconds(1));
+  q.run_until_idle();
+  const LeaseHandle renewed = grant(seconds(1));
+  q.run_for(milliseconds(500));
+  ASSERT_TRUE(m.renew(renewed, seconds(2)).has_value());
+  q.run_until_idle();
+
+  const std::vector<std::string> expected = {
+      "1 released t=0 gauge=0 rel=1 rev=0 exp=0 pending=0",
+      "2 revoked t=0 gauge=0 rel=1 rev=1 exp=0 pending=0",
+      "3 revoked t=0 gauge=2 rel=1 rev=2 exp=0 pending=2",
+      "4 revoked t=0 gauge=1 rel=1 rev=3 exp=0 pending=1",
+      "5 revoked t=0 gauge=0 rel=1 rev=4 exp=0 pending=0",
+      "6 expired t=1000000 gauge=1 rel=1 rev=4 exp=0 pending=0",
+      "7 expired t=4000000 gauge=1 rel=1 rev=4 exp=1 pending=0",
+  };
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(m.active(), 0u);
+  EXPECT_EQ(reg.gauge("lease.active").value(), 0.0);
+  EXPECT_EQ(reg.counter("lease.expired").value(), 2u);
 }
 }  // namespace
 }  // namespace tiamat::lease
